@@ -6,7 +6,7 @@ either human-readable text or structured JSON with stable keys; the
 structured form is byte-identical across runs on identical input.
 
 Exit codes: 0 success, 2 parse failure, 3 validation failure,
-4 precondition failure.
+4 precondition failure, 5 internal self-check failure (a bug).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Any, Optional, Sequence
 
 from .cochain import ExteriorForm, betti_numbers, cohomology
-from .errors import PreconditionError, SolvhullError, StructureError
+from .errors import InternalCheckError, PreconditionError, SolvhullError, StructureError
 from .fixtures import fixture
 from .formality import FormalityVerdict, MasseyWitness, invariant_subcomplex
 from .hull import SplitForm, hull_action_data, recognize_split_form, unipotent_hull_abelian
@@ -48,6 +48,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_PRECONDITION = 4
+EXIT_INTERNAL = 5  # a failed self-check: a bug, not bad input
 
 COMMANDS = ("validate", "nilradical", "hull", "cohomology", "invariants",
             "formality", "lefschetz", "analyze", "fixture")
@@ -595,6 +596,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except InternalCheckError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except SolvhullError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -21,6 +21,7 @@ from .linalg import (
     Mat,
     Scalar,
     Vec,
+    in_row_space,
     is_zero_vec,
     kernel_basis,
     qq,
@@ -149,7 +150,7 @@ class CochainComplex:
         self._index = [
             {idx: pos for pos, idx in enumerate(basis)} for basis in self._bases
         ]
-        self._coh_cache: dict[int, "CohomologyBasis"] = {}
+        self._coh_cache: dict[int, tuple[Vec, ...]] = {}
 
     def basis(self, k: int) -> tuple[Indices, ...]:
         if not 0 <= k <= self.dim:
@@ -302,10 +303,12 @@ def cohomology(cx: ComplexLike, k: int) -> CohomologyBasis:
 
     Representatives are the kernel basis vectors that are independent
     modulo the image of the previous differential, scanned in order.
+    A complex's ``_coh_cache`` keeps the representatives only: a cached
+    CohomologyBasis would point back at the complex and form a cycle.
     """
     cache = getattr(cx, "_coh_cache", None)
     if cache is not None and k in cache:
-        return cache[k]
+        return CohomologyBasis(cx, k, cache[k])
     nk = cx.space_dim(k)
     cocycles = kernel_basis(cx.dmat(k)) if nk else []
     if k >= 1 and cx.space_dim(k - 1):
@@ -314,21 +317,14 @@ def cohomology(cx: ComplexLike, k: int) -> CohomologyBasis:
     else:
         image = []
     reps: list[Vec] = []
-    span = list(image)
+    span = list(image)  # kept in reduced echelon form
     for z in cocycles:
-        if not _in_span(span, z, nk):
+        if not in_row_space(span, z):
             reps.append(z)
             span = row_space_basis(span + [z], nk)
-    result = CohomologyBasis(cx, k, tuple(reps))
     if cache is not None:
-        cache[k] = result
-    return result
-
-
-def _in_span(span_rows: list[Vec], v: Vec, n: int) -> bool:
-    if not span_rows:
-        return is_zero_vec(v)
-    return len(row_space_basis(span_rows + [v], n)) == len(span_rows)
+        cache[k] = tuple(reps)
+    return CohomologyBasis(cx, k, tuple(reps))
 
 
 def betti_numbers(cx: ComplexLike) -> tuple[int, ...]:

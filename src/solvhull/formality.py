@@ -29,22 +29,47 @@ from .cochain import (
 from .errors import InternalCheckError
 from .hull import DEFAULT_FINITE_BOUND, HullData, validate_hull_data
 from .linalg import (
+    QQ,
     Mat,
     Vec,
     is_zero_vec,
     kernel_basis,
+    rref,
     solve,
     unit_vec,
     vadd,
     vscale,
-    zero_vec,
 )
 
+_ZERO = QQ(0)
 
-def _coords_in(basis: Sequence[Vec], w: Vec) -> Optional[Vec]:
+
+def _chart(basis: Sequence[Vec]) -> tuple[tuple[tuple[int, QQ], ...], ...]:
+    """Rows P on which the basis vectors are invertible, with the inverse.
+
+    Entry j lists the nonzero (row, coefficient) pairs of column j of the
+    inverse of the block at P, so coordinate j of sum_i x_i basis_i is
+    sum over those pairs of w[row] * coefficient.  A kernel_basis output
+    is 1 at its own free column and 0 at the other free columns; such
+    columns are preferred, and then the block is the identity.
+    """
     if not basis:
-        return () if is_zero_vec(w) else None
-    return solve(Mat.from_cols(basis, rows=len(w)), w)
+        return ()
+    n = len(basis[0])
+    owners = [0] * n
+    for v in basis:
+        for j, x in enumerate(v):
+            if x:
+                owners[j] += 1
+    rows = [next((j for j, x in enumerate(v) if x and owners[j] == 1), None) for v in basis]
+    if None in rows:
+        rows = list(rref(Mat.from_rows(basis, cols=n))[1])
+    b = len(rows)
+    # [block | I] reduces to [I | block^-1]
+    inverse = rref(Mat.from_rows([tuple(v[r] for r in rows) + unit_vec(b, i)
+                                  for i, v in enumerate(basis)]))[0]
+    return tuple(tuple((r, inverse[i, b + j]) for i, r in enumerate(rows) if inverse[i, b + j])
+                 for j in range(b))
 
 
 def derivation_extension_matrix(cx: CochainComplex, d: Mat, k: int) -> Mat:
@@ -110,15 +135,25 @@ class InvariantComplex:
     differential, and a wedge that projects back to sub-coordinates.
     Implements the same surface as CochainComplex, so cohomology, cup
     products and all downstream checks run on it unchanged.
+
+    Each degree has a chart: ambient rows P on which the sub-basis is
+    invertible, with the inverse of that block.  Sub-coordinates are read
+    off at P and confirmed by lifting back, so restriction never solves
+    a system.  Without given differentials the restricted ones are
+    computed, which checks that the sub-bases are closed under d.
     """
 
     def __init__(self, ambient: CochainComplex, sub_bases: Sequence[tuple[Vec, ...]],
-                 dmats: Sequence[Mat]):
+                 dmats: Optional[Sequence[Mat]] = None):
         self.ambient = ambient
         self.dim = ambient.dim
-        self._sub = list(sub_bases)
+        self._sub = [tuple(b) for b in sub_bases]
+        self._support = [[tuple(j for j, x in enumerate(v) if x) for v in b] for b in self._sub]
+        self._chart = [_chart(b) for b in self._sub]
+        self._coh_cache: dict[int, tuple[Vec, ...]] = {}
+        if dmats is None:
+            dmats = [self._restricted_differential(k) for k in range(self.dim + 1)]
         self._dmats = list(dmats)
-        self._coh_cache: dict[int, object] = {}
 
     def sub_basis(self, k: int) -> tuple[Vec, ...]:
         if not 0 <= k <= self.dim:
@@ -137,21 +172,38 @@ class InvariantComplex:
         return self._dmats[k]
 
     def lift(self, k: int, coords: Vec) -> Vec:
-        out = zero_vec(self.ambient.space_dim(k))
-        for c, b in zip(coords, self.sub_basis(k)):
-            if c != 0:
-                out = vadd(out, vscale(c, b))
-        return out
+        out = [_ZERO] * self.ambient.space_dim(k)
+        if 0 <= k <= self.dim:
+            for c, b, support in zip(coords, self._sub[k], self._support[k]):
+                if c:
+                    for j in support:
+                        out[j] += c * b[j]
+        return tuple(out)
+
+    def restrict(self, k: int, ambient_coords: Vec) -> Optional[Vec]:
+        """Sub-coordinates of an ambient vector, or None if outside."""
+        chart = self._chart[k] if 0 <= k <= self.dim else ()
+        coords = tuple(sum((ambient_coords[r] * c for r, c in col), _ZERO) for col in chart)
+        if self.lift(k, coords) != tuple(ambient_coords):
+            return None
+        return coords
+
+    def _restricted_differential(self, k: int) -> Mat:
+        rows = self.space_dim(k + 1)
+        d = self.ambient.dmat(k)
+        cols = []
+        for v in self._sub[k]:
+            coords = self.restrict(k + 1, d.apply(v))
+            if coords is None:
+                raise InternalCheckError("invariant model is not closed under d")
+            cols.append(coords)
+        return Mat.from_cols(cols, rows=rows) if cols else Mat.zero(rows, 0)
 
     def form(self, k: int, coords: Vec) -> ExteriorForm:
         return self.ambient.form(k, self.lift(k, coords))
 
     def basis_forms(self, k: int) -> tuple[ExteriorForm, ...]:
         return tuple(self.ambient.form(k, b) for b in self.sub_basis(k))
-
-    def restrict(self, k: int, ambient_coords: Vec) -> Optional[Vec]:
-        """Sub-coordinates of an ambient vector, or None if outside."""
-        return _coords_in(list(self.sub_basis(k)), ambient_coords)
 
     def restrict_form(self, form: ExteriorForm) -> Optional[Vec]:
         return self.restrict(form.degree, self.ambient.coords(form))
@@ -208,21 +260,7 @@ def invariant_subcomplex(h: HullData, finite_bound: int = DEFAULT_FINITE_BOUND) 
     if len(sub_bases[0]) != 1:
         raise InternalCheckError("invariant model lost the constants in degree zero")
 
-    dmats: list[Mat] = []
-    for k in range(n + 1):
-        cols = []
-        for v in sub_bases[k]:
-            w = cx.dmat(k).apply(v)
-            target = list(sub_bases[k + 1]) if k + 1 <= n else []
-            coords = _coords_in(target, w)
-            if coords is None:
-                raise InternalCheckError("invariant model is not closed under d")
-            cols.append(coords)
-        rows_count = len(sub_bases[k + 1]) if k + 1 <= n else 0
-        dmats.append(Mat.from_cols(cols, rows=rows_count) if cols
-                     else Mat.zero(rows_count, 0))
-
-    ic = InvariantComplex(cx, sub_bases, dmats)
+    ic = InvariantComplex(cx, sub_bases)
     for p in range(1, n):
         for q in range(1, n - p + 1):
             for u in range(ic.space_dim(p)):

@@ -37,6 +37,7 @@ from .linalg import (
     Mat,
     Vec,
     char_poly,
+    coords_in,
     eval_poly_at_matrix,
     is_nilpotent_matrix,
     is_semisimple_matrix,
@@ -127,13 +128,6 @@ def _semisimple_derivation_unchecked(g: LieAlgebra, x: Vec) -> Mat:
     return d
 
 
-def _coords_in(basis: Sequence[Vec], w: Vec) -> Optional[Vec]:
-    """Coordinates of w in the given basis vectors, or None."""
-    if not basis:
-        return () if is_zero_vec(w) else None
-    return solve(Mat.from_cols(basis, rows=len(w)), w)
-
-
 def semisimple_parts_add_on_nilradical(
     g: LieAlgebra,
     nr: Subspace,
@@ -168,7 +162,7 @@ def _induced_subalgebra(g: LieAlgebra, rows: Sequence[Vec]) -> LieAlgebra:
     table = [[zero_vec(k) for _ in range(k)] for _ in range(k)]
     for i in range(k):
         for j in range(k):
-            w = _coords_in(rows, g.bracket(rows[i], rows[j]))
+            w = coords_in(rows, g.bracket(rows[i], rows[j]))
             if w is None:
                 raise InternalCheckError("span is not closed under the bracket")
             table[i][j] = w
@@ -314,7 +308,7 @@ def build_splittable_hull(g: LieAlgebra) -> SplittableHull:
 
     d_coords = []
     for i in range(n):
-        coords = _coords_in(imf_rows, d_mats[i].flatten())
+        coords = coords_in(imf_rows, d_mats[i].flatten())
         if coords is None:
             raise InternalCheckError("adjoint semisimple part escapes the torus span")
         d_coords.append(coords)
@@ -450,7 +444,7 @@ def recognize_split_form(g: LieAlgebra) -> Optional[SplitForm]:
     for i in range(n):
         cols = []
         for v in nr.basis:
-            w = _coords_in(nr.basis, g.bracket(unit_vec(n, i), v))
+            w = coords_in(nr.basis, g.bracket(unit_vec(n, i), v))
             if w is None:
                 raise InternalCheckError("nilradical is not an ideal")
             cols.append(w)
@@ -490,7 +484,7 @@ def recognize_split_form(g: LieAlgebra) -> Optional[SplitForm]:
         rhs = []
         for (a, b) in pairs:
             ca, cb = comp[a], comp[b]
-            target = _coords_in(nr.basis, g.bracket(unit_vec(n, ca), unit_vec(n, cb)))
+            target = coords_in(nr.basis, g.bracket(unit_vec(n, ca), unit_vec(n, cb)))
             if target is None:
                 raise InternalCheckError("bracket of complement directions escapes the nilradical")
             for row_i in range(m):
@@ -524,7 +518,7 @@ def recognize_split_form(g: LieAlgebra) -> Optional[SplitForm]:
     for c in range(k):
         cols = []
         for v in nr.basis:
-            w = _coords_in(nr.basis, g.bracket(complement[c], v))
+            w = coords_in(nr.basis, g.bracket(complement[c], v))
             if w is None:
                 raise InternalCheckError("complement does not preserve the nilradical")
             cols.append(w)

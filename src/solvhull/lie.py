@@ -14,6 +14,7 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import InternalCheckError, PreconditionError, StructureError
 from .linalg import (
+    QQ,
     Mat,
     Scalar,
     Vec,
@@ -320,8 +321,12 @@ def nilradical(g: LieAlgebra) -> Subspace:
     if not env_mats:
         result = Subspace.full(g)  # abelian: every adjoint vanishes
     else:
+        # trace(ad_k b) = sum_ij (ad_k)_ij b_ji, over the nonzero (ad_k)_ij
+        supports = [[(i, j, x) for i, row in enumerate(a.entries) for j, x in enumerate(row) if x]
+                    for a in ads]
         constraint = Mat.from_rows(
-            [tuple((ads[k] @ b).trace() for k in range(n)) for b in env_mats],
+            [tuple(sum((x * b.entries[j][i] for i, j, x in support), QQ(0))
+                   for support in supports) for b in env_mats],
             cols=n,
         )
         result = Subspace.span(g, kernel_basis(constraint))

@@ -1,17 +1,19 @@
 """Exact linear algebra over the rationals, plus univariate polynomials.
 
 Everything in this module is pure and deterministic: matrices and
-polynomials are immutable, all arithmetic uses ``fractions.Fraction``
+polynomials are immutable, all values are ``fractions.Fraction``
 (arbitrary precision, canonical reduced form), and pivoting rules are
 fixed so that repeated runs produce bit-identical bases.  No floating
-point anywhere.
+point anywhere.  The hot kernels, ``Mat @`` and ``rref``, compute on
+integer numerators and visit nonzero entries only; they return the same
+canonical Fractions as the textbook dense algorithms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul as _mul
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 QQ = Fraction
@@ -86,6 +88,15 @@ class Mat:
         raise AttributeError("Mat is immutable")
 
     @staticmethod
+    def _raw(entries: tuple[Vec, ...], cols: int) -> "Mat":
+        """Wrap rows that are already tuples of Fractions, without coercion."""
+        m = object.__new__(Mat)
+        object.__setattr__(m, "rows", len(entries))
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "entries", entries)
+        return m
+
+    @staticmethod
     def zero(rows: int, cols: int) -> "Mat":
         return Mat([[0] * cols for _ in range(rows)], cols=cols)
 
@@ -154,19 +165,33 @@ class Mat:
         return self.__rmul__(c)
 
     def __matmul__(self, other: "Mat") -> "Mat":
+        """Product over integer numerators, visiting nonzero entries only.
+
+        Each factor is scaled to integers over one common denominator, so
+        the inner loop is integer arithmetic and each nonzero output entry
+        is reduced to a Fraction once.
+        """
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        if self.cols == 0 or other.cols == 0:
-            return Mat.zero(self.rows, other.cols)
-        cols = list(zip(*other.entries))
-        out = [[sum(map(_mul, row, col), _ZERO) for col in cols] for row in self.entries]
-        return Mat(out, cols=other.cols)
+        da, left = _sparse_int_rows(self)
+        db, right = _sparse_int_rows(other)
+        den = da * db
+        ncols = other.cols
+        out = []
+        for row in left:
+            acc = [0] * ncols
+            for k, a in row:
+                for j, b in right[k]:
+                    acc[j] += a * b
+            out.append(tuple(Fraction(v, den) if v else _ZERO for v in acc))
+        return Mat._raw(tuple(out), ncols)
 
     def apply(self, v: Vec) -> Vec:
         """Matrix-vector product."""
         if self.cols != len(v):
             raise ValueError("dimension mismatch in apply")
-        return tuple(sum((a * b for a, b in zip(r, v)), QQ(0)) for r in self.entries)
+        support = [(j, x) for j, x in enumerate(v) if x]
+        return tuple(sum((r[j] * x for j, x in support if r[j]), _ZERO) for r in self.entries)
 
     def transpose(self) -> "Mat":
         return Mat([self.col(j) for j in range(self.cols)], cols=self.rows)
@@ -219,36 +244,71 @@ class Mat:
         return f"Mat[{self.rows}x{self.cols}: {rows}]"
 
 
+def _sparse_int_rows(m: Mat) -> tuple[int, list[list[tuple[int, int]]]]:
+    """(D, rows) with m = rows / D: the nonzero (column, numerator) pairs of
+    each row over the least common denominator D of all entries."""
+    den = lcm(*{x.denominator for row in m.entries for x in row})
+    return den, [[(j, x.numerator * (den // x.denominator)) for j, x in enumerate(row) if x]
+                 for row in m.entries]
+
+
+def _int_row(row: Vec) -> list[int]:
+    """A rational row scaled by the lcm of its denominators to integers."""
+    den = lcm(*{x.denominator for x in row})
+    return [x.numerator * (den // x.denominator) if x else 0 for x in row]
+
+
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form with the pivot column indices.
 
     Pivot selection is the first row with a nonzero entry in the leftmost
-    unresolved column, pivots rescaled to 1: canonical, hence reproducible.
+    unresolved column: canonical, hence reproducible.  Elimination is
+    fraction-free on integer rows (each a rational multiple of a row of
+    the reduced form) and only touches the nonzero columns of the pivot
+    row when the pivot is 1; the pivots are divided out at the end.
     """
-    rows = [list(r) for r in m.entries]
+    nrows, ncols = m.rows, m.cols
+    rows = [_int_row(r) for r in m.entries]
     pivots: list[int] = []
     r = 0
-    for c in range(m.cols):
-        pr = None
-        for i in range(r, m.rows):
-            if rows[i][c] != 0:
-                pr = i
-                break
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            rows[r] = [x / pv for x in rows[r]]
-        for i in range(m.rows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        prow = rows[r]
+        g = gcd(*prow)
+        if prow[c] < 0:
+            g = -g
+        if g != 1:
+            prow[:] = [x // g for x in prow]
+        pv = prow[c]
+        support = [j for j in range(c, ncols) if prow[j]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i == r or not f:
+                continue
+            if pv == 1:
+                for j in support:
+                    row[j] -= f * prow[j]
+                continue
+            # row <- (pv * row - f * prow) / content, kept integral
+            h = gcd(pv, f)
+            scale, f = pv // h, f // h
+            row[:] = [scale * x for x in row]
+            for j in support:
+                row[j] -= f * prow[j]
+            h = gcd(*row)
+            if h > 1:
+                row[:] = [x // h for x in row]
         pivots.append(c)
         r += 1
-        if r == m.rows:
+        if r == nrows:
             break
-    return Mat(rows, cols=m.cols), tuple(pivots)
+    # rows past the pivots are zero; the others are divided by their pivot
+    out = [tuple(Fraction(x, row[p]) if x else _ZERO for x in row) for row, p in zip(rows, pivots)]
+    out += [(_ZERO,) * ncols] * (nrows - len(pivots))
+    return Mat._raw(tuple(out), ncols), tuple(pivots)
 
 
 def rank(m: Mat) -> int:
@@ -275,6 +335,13 @@ def kernel_basis(m: Mat) -> list[Vec]:
             v[p] = -red.entries[i][f]
         basis.append(tuple(v))
     return basis
+
+
+def coords_in(basis: Sequence[Vec], w: Vec) -> Optional[Vec]:
+    """Coordinates of w in the given basis vectors, or None."""
+    if not basis:
+        return () if is_zero_vec(w) else None
+    return solve(Mat.from_cols(basis, rows=len(w)), w)
 
 
 def solve(m: Mat, b: Vec) -> Optional[Vec]:
@@ -310,10 +377,12 @@ def reduce_against(basis: Sequence[Vec], v: Vec) -> Vec:
     """
     res = list(v)
     for row in basis:
-        p = next((j for j, a in enumerate(row) if a != 0), None)
-        if p is not None and res[p] != 0:
+        p = next((j for j, a in enumerate(row) if a), None)
+        if p is not None and res[p]:
             f = res[p]
-            res = [a - f * b for a, b in zip(res, row)]
+            for j, b in enumerate(row):
+                if b:
+                    res[j] -= f * b
     return tuple(res)
 
 

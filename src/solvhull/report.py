@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .cochain import ExteriorForm, betti_numbers
-from .errors import PreconditionError, SolvhullError
+from .cochain import ExteriorForm, betti_numbers, ce_complex
+from .errors import PreconditionError
 from .formality import (
     FormalityVerdict,
     InvariantComplex,
@@ -271,12 +271,14 @@ def _analyze_algebra(g: LieAlgebra, omega, massey_depth, finite_bound) -> Analys
         skipped.append(StageFailure(
             "hull", "the algebra is not solvable; hull stages need solvability"))
 
+    full: Optional[InvariantComplex] = None
     algebra_betti = None
     model: Optional[InvariantComplex] = None
     model_betti = None
     formality: Optional[FormalityVerdict] = None
     if hdata is not None:
-        algebra_betti = betti_numbers(full_model_of(g))
+        full = full_model_of(g)
+        algebra_betti = betti_numbers(full)
         model = invariant_subcomplex(hdata, finite_bound)
         model_betti = betti_numbers(model)
         formality = formality_verdict(model, massey_depth)
@@ -285,7 +287,7 @@ def _analyze_algebra(g: LieAlgebra, omega, massey_depth, finite_bound) -> Analys
     lefschetz_report = None
     if omega is not None and model is not None:
         try:
-            symplectic = verify_symplectic(full_model_of(g), omega)
+            symplectic = verify_symplectic(full, omega)
         except PreconditionError as exc:
             skipped.append(StageFailure("symplectic", str(exc)))
         if symplectic is not None and symplectic.symplectic:
@@ -296,7 +298,7 @@ def _analyze_algebra(g: LieAlgebra, omega, massey_depth, finite_bound) -> Analys
                 else:
                     skipped.append(StageFailure(
                         "lefschetz", "omega is not symplectic on the invariant model"))
-            except (PreconditionError, SolvhullError) as exc:
+            except PreconditionError as exc:
                 skipped.append(StageFailure("lefschetz", str(exc)))
         elif symplectic is not None:
             skipped.append(StageFailure(
@@ -390,15 +392,6 @@ def _analyze_hull_data(h: HullData, omega, massey_depth, finite_bound) -> Analys
     )
 
 
-_FULL_MODEL_CACHE: dict[LieAlgebra, InvariantComplex] = {}
-
-
 def full_model_of(g: LieAlgebra) -> InvariantComplex:
     """Full cochain complex of g wrapped as a trivial invariant model."""
-    cached = _FULL_MODEL_CACHE.get(g)
-    if cached is None:
-        from .cochain import ce_complex
-
-        cached = full_model(ce_complex(g))
-        _FULL_MODEL_CACHE[g] = cached
-    return cached
+    return full_model(ce_complex(g))

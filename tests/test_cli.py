@@ -7,7 +7,17 @@ from fractions import Fraction as F
 
 import pytest
 
-from solvhull.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_VALIDATION, main, run
+from solvhull import cli
+from solvhull.cli import (
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_PARSE,
+    EXIT_PRECONDITION,
+    EXIT_VALIDATION,
+    main,
+    run,
+)
+from solvhull.errors import InternalCheckError
 from solvhull.fixtures import FIXTURES, fixture
 from solvhull.iodoc import (
     ParseError,
@@ -255,6 +265,14 @@ class TestMainEntry:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "FAILS" in out
+
+    def test_internal_check_failure_has_its_own_exit_code(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise InternalCheckError("self-check failed")
+
+        monkeypatch.setattr(cli, "analyze", broken)
+        assert main(["analyze", "--fixture", "sol"]) == EXIT_INTERNAL
+        assert "self-check failed" in capsys.readouterr().err
 
     def test_unknown_fixture_is_parse_error(self, capsys):
         assert main(["analyze", "--fixture", "nope"]) == EXIT_PARSE
