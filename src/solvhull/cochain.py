@@ -6,13 +6,29 @@ d xi^k = - sum_{i<j} c_ij^k xi^i wedge xi^j, extended as an antiderivation;
 this sign convention makes a bracket [t, x] = a x produce dx = -a t^x.
 Per-degree bases are the lexicographically ordered index subsets, so all
 matrices, kernels and representatives are reproducible.
+
+Products work on coordinates.  A basis form xi^S is the bitmask of S;
+xi^S ^ xi^T is zero when the masks meet and otherwise (-1)^N xi^(S | T),
+N the number of pairs s in S, t in T with s > t.  N is odd exactly when
+an odd number of elements s of S have an odd number of elements of T
+below them, so one AND and one popcount give the sign from a mask
+computed once per term of T.  Coefficients are scaled to integer numerators over one
+common denominator per factor, only nonzero pairs are multiplied, and
+each nonzero output is reduced to a Fraction once.  The same kernel
+builds the differentials, the derivation and pullback matrices, and the
+ExteriorForm wedge.  A Chart reads coordinates in independent vectors
+without solving; cohomology projections keep one per degree for the
+pivot columns of [representatives | d_(k-1)], and invariant models one
+per degree for their sub-bases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping, Protocol, Sequence
+from math import lcm
+from typing import Iterable, Mapping, Optional, Protocol, Sequence, TypeVar
 
 from .errors import PreconditionError, StructureError
 from .lie import LieAlgebra
@@ -22,24 +38,79 @@ from .linalg import (
     Scalar,
     Vec,
     in_row_space,
+    int_terms,
     is_zero_vec,
     kernel_basis,
     qq,
     row_space_basis,
-    solve,
-    vadd,
-    zero_vec,
+    rref,
+    unit_vec,
 )
 
 Indices = tuple[int, ...]
+Coeff = TypeVar("Coeff", int, Fraction)
+# a form as (D, [(subset bitmask, numerator)]): coefficients numerator / D
+SparseForm = tuple[int, list[tuple[int, int]]]
+
+_ZERO = QQ(0)
 
 
-def _merge_sign(s: Indices, t: Indices) -> int:
-    """Sign of sorting the concatenation of two disjoint sorted tuples."""
-    inversions = 0
-    for b in t:
-        inversions += sum(1 for a in s if a > b)
-    return -1 if inversions % 2 else 1
+def _dense(n: int, den: int, nums: Mapping[int, int]) -> Vec:
+    """The length-n vector with entries nums[j] / den, zero elsewhere."""
+    out = [_ZERO] * n
+    for j, x in nums.items():
+        if x:
+            out[j] = Fraction(x, den)
+    return tuple(out)
+
+
+def _mask(idx: Iterable[int]) -> int:
+    m = 0
+    for i in idx:
+        m |= 1 << i
+    return m
+
+
+def _indices(mask: int) -> Indices:
+    # from a list: a tuple built from a generator is resized in place, and
+    # the resized blocks pile up in the interpreter's small-tuple free lists
+    return tuple([i for i in range(mask.bit_length()) if mask >> i & 1])
+
+
+def _odd_below(mask: int) -> int:
+    """Bits with an odd number of the mask's elements strictly below them.
+
+    Each element t contributes the bits above t, -(2 << t) in two's
+    complement; the result is negative when the mask has odd size.
+    """
+    out = 0
+    while mask:
+        low = mask & -mask
+        out ^= -(low << 1)
+        mask ^= low
+    return out
+
+
+def _wedge_masks(a: Iterable[tuple[int, Coeff]],
+                 b: Iterable[tuple[int, Coeff]]) -> dict[int, Coeff]:
+    """Product of two forms given as (subset bitmask, coefficient) pairs.
+
+    The shuffle sign of xi^S ^ xi^T is -1 exactly when an odd number of
+    elements of S have an odd number of elements of T below them.
+    Entries may cancel to zero.
+    """
+    out: dict[int, Coeff] = {}
+    right = [(mb, cb, _odd_below(mb)) for mb, cb in b]
+    for ma, ca in a:
+        for mb, cb, below in right:
+            if ma & mb:
+                continue
+            m = ma | mb
+            if (ma & below).bit_count() & 1:
+                out[m] = out.get(m, 0) - ca * cb
+            else:
+                out[m] = out.get(m, 0) + ca * cb
+    return out
 
 
 @dataclass(frozen=True)
@@ -101,16 +172,10 @@ class ExteriorForm:
 
 def wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
     """Exterior product with the shuffle sign; overlapping indices cancel."""
-    out: dict[Indices, QQ] = {}
-    for sa, ca in a.terms:
-        set_a = set(sa)
-        for sb, cb in b.terms:
-            if set_a & set(sb):
-                continue
-            sign = _merge_sign(sa, sb)
-            key = tuple(sorted(sa + sb))
-            out[key] = out.get(key, QQ(0)) + sign * ca * cb
-    return ExteriorForm.make(a.degree + b.degree, out)
+    out = _wedge_masks([(_mask(idx), c) for idx, c in a.terms],
+                       [(_mask(idx), c) for idx, c in b.terms])
+    return ExteriorForm(a.degree + b.degree,
+                        tuple(sorted((_indices(m), c) for m, c in out.items() if c)))
 
 
 def wedge_power(a: ExteriorForm, k: int) -> ExteriorForm:
@@ -137,20 +202,23 @@ class ComplexLike(Protocol):
 class CochainComplex:
     """Full Chevalley-Eilenberg complex of a Lie algebra.
 
-    Bases are lexicographic index subsets per degree; differentials are
-    dense matrices between consecutive degrees; d o d = 0 is verified
-    exactly at construction time.
+    Bases are lexicographic index subsets per degree; the differentials
+    are matrices between consecutive degrees, built from the images of
+    the degree-one generators by the coordinate product.
     """
 
-    def __init__(self, algebra: LieAlgebra, diff: Sequence[Mat], bases: Sequence[tuple[Indices, ...]]):
+    def __init__(self, algebra: LieAlgebra):
+        n = algebra.dim
         self.algebra = algebra
-        self.dim = algebra.dim
-        self._bases = list(bases)
-        self._diff = list(diff)
-        self._index = [
-            {idx: pos for pos, idx in enumerate(basis)} for basis in self._bases
-        ]
+        self.dim = n
+        self._bases = [tuple(combinations(range(n), k)) for k in range(n + 1)]
+        self._masks = [tuple(_mask(idx) for idx in basis) for basis in self._bases]
+        self._index = [{m: pos for pos, m in enumerate(masks)} for masks in self._masks]
         self._coh_cache: dict[int, tuple[Vec, ...]] = {}
+        self._proj_cache: dict[int, tuple] = {}
+        # d xi^k = - sum_{i<j} c_ij^k xi^i ^ xi^j
+        d_one = [tuple(-algebra.c[i][j][k] for i, j in self.basis(2)) for k in range(n)]
+        self._diff = [self.derivation_matrix(k, d_one, 2) for k in range(n + 1)]
 
     def basis(self, k: int) -> tuple[Indices, ...]:
         if not 0 <= k <= self.dim:
@@ -168,9 +236,9 @@ class CochainComplex:
 
     def coords(self, form: ExteriorForm) -> Vec:
         lookup = self._index[form.degree]
-        out = [QQ(0)] * len(lookup)
+        out = [_ZERO] * len(lookup)
         for idx, c in form.terms:
-            out[lookup[idx]] = c
+            out[lookup[_mask(idx)]] = c
         return tuple(out)
 
     def form(self, k: int, coords: Vec) -> ExteriorForm:
@@ -183,11 +251,67 @@ class CochainComplex:
             return ExteriorForm.zero(k + 1)
         return self.form(k + 1, self.dmat(k).apply(self.coords(form)))
 
+    def sparse(self, k: int, coords: Vec) -> SparseForm:
+        """A k-form given in coordinates as integer numerators by bitmask."""
+        den, (terms,) = int_terms([coords], self._masks[k])
+        return den, terms
+
+    def sparse_from(self, k: int, den: int, nums: Mapping[int, int]) -> SparseForm:
+        """The k-form with coordinates nums[j] / den, zero elsewhere, by bitmask."""
+        masks = self._masks[k]
+        return den, [(masks[j], x) for j, x in nums.items() if x]
+
+    def product(self, a: SparseForm, b: SparseForm, k: int) -> tuple[int, dict[int, int]]:
+        """a ^ b of degree k as (D, numerators of its nonzero coordinates / D)."""
+        index = self._index[k]
+        return a[0] * b[0], {index[m]: x for m, x in _wedge_masks(a[1], b[1]).items() if x}
+
     def wedge_coords(self, p: int, u: Vec, q: int, v: Vec) -> Vec:
-        w = wedge(self.form(p, u), self.form(q, v))
-        if w.degree > self.dim:
+        if p + q > self.dim:
             return ()
-        return self.coords(w)
+        return _dense(self.space_dim(p + q),
+                      *self.product(self.sparse(p, u), self.sparse(q, v), p + q))
+
+    def _vector(self, k: int, den: int, terms: Mapping[int, int]) -> Vec:
+        """Coordinates of the k-form sum of terms[mask] / den xi^mask."""
+        index = self._index[k]
+        return _dense(len(index), den, {index[m]: x for m, x in terms.items()})
+
+    def derivation_matrix(self, k: int, images: Sequence[Vec], e: int) -> Mat:
+        """Matrix from k- to (k+e-1)-forms of the derivation xi^g -> images[g].
+
+        The images are e-forms.  With Koszul signs a derivation of degree
+        e - 1 sends xi^S to the sum over the t-th element s of S of
+        (-1)^t images[s] ^ xi^(S minus s): this covers the differential
+        (e = 2) and degree-zero derivations (e = 1) alike.
+        """
+        masks = self._masks[k]
+        if k + e - 1 > self.dim:
+            return Mat.zero(0, len(masks))
+        den, terms = int_terms(images, self._masks[e])
+        cols = []
+        for s in masks:
+            acc: dict[int, int] = {}
+            for t, g in enumerate(_indices(s)):
+                for m, x in _wedge_masks(terms[g], [(s ^ 1 << g, (-1) ** t)]).items():
+                    acc[m] = acc.get(m, 0) + x
+            cols.append(self._vector(k + e - 1, den, acc))
+        return Mat.from_cols(cols, rows=self.space_dim(k + e - 1))
+
+    def algebra_map_matrix(self, k: int, images: Sequence[Vec]) -> Mat:
+        """Matrix on k-forms of the algebra map with xi^g -> images[g].
+
+        The images are 1-forms, and xi^S goes to the product of the
+        images of its elements in increasing order.
+        """
+        den, terms = int_terms(images, self._masks[1])
+        cols = []
+        for s in self._masks[k]:
+            acc: dict[int, int] = {0: 1}
+            for i in _indices(s):
+                acc = _wedge_masks(acc.items(), terms[i])
+            cols.append(self._vector(k, den ** k, acc))
+        return Mat.from_cols(cols, rows=self.space_dim(k))
 
 
 def ce_complex(g: LieAlgebra) -> CochainComplex:
@@ -196,56 +320,109 @@ def ce_complex(g: LieAlgebra) -> CochainComplex:
     A failure of d^2 = 0 names the offending basis form; it means the
     structure constants violate the Jacobi identity.
     """
-    n = g.dim
-    bases: list[tuple[Indices, ...]] = [tuple(combinations(range(n), k)) for k in range(n + 1)]
-    index_maps = [{idx: pos for pos, idx in enumerate(b)} for b in bases]
-
-    d_one = []
-    for k in range(n):
-        terms: dict[Indices, QQ] = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                cijk = g.c[i][j][k]
-                if cijk != 0:
-                    terms[(i, j)] = terms.get((i, j), QQ(0)) - cijk
-        d_one.append(ExteriorForm.make(2, terms))
-
-    def d_monomial(idx: Indices) -> ExteriorForm:
-        out = ExteriorForm.zero(len(idx) + 1)
-        for t, gen in enumerate(idx):
-            sign = -1 if t % 2 else 1
-            piece = wedge(ExteriorForm.monomial(idx[:t], sign), d_one[gen])
-            piece = wedge(piece, ExteriorForm.monomial(idx[t + 1:]))
-            out = out + piece
-        return out
-
-    diff: list[Mat] = []
-    for k in range(n + 1):
-        cols = []
-        target = index_maps[k + 1] if k + 1 <= n else {}
-        for idx in bases[k]:
-            if k == n:
-                cols.append(())
-                continue
-            img = d_monomial(idx)
-            col = [QQ(0)] * len(target)
-            for sub, c in img.terms:
-                col[target[sub]] = c
-            cols.append(tuple(col))
-        rows = len(bases[k + 1]) if k + 1 <= n else 0
-        diff.append(Mat.from_cols(cols, rows=rows) if cols else Mat.zero(rows, 0))
-
-    cx = CochainComplex(g, diff, bases)
-    for k in range(n):
+    cx = CochainComplex(g)
+    for k in range(g.dim):
         prod = cx.dmat(k + 1) @ cx.dmat(k)
         if not prod.is_zero():
             bad = next(
                 j for j in range(prod.cols) if not is_zero_vec(prod.col(j))
             )
-            name = "^".join(g.basis_names[i] for i in bases[k][bad])
+            name = "^".join(g.basis_names[i] for i in cx.basis(k)[bad])
             raise StructureError(
                 f"d o d is nonzero on {name}; the bracket violates the Jacobi identity")
     return cx
+
+
+class Chart:
+    """Coordinates in independent vectors, read off where they are invertible.
+
+    A chart keeps rows P of the ambient space on which the vectors are
+    invertible, with the inverse of that block: coordinate j of
+    w = sum_i x_i basis_i is the sum of w[r] * c over the nonzero (r, c)
+    of column j of the inverse.  coords() confirms the reading by
+    combining back, so a vector outside the span yields None and no
+    system is solved per call.  Rows where a single vector is nonzero
+    are preferred: a kernel_basis output is 1 at its own free column and
+    0 at the other free columns, so its block is the identity and needs
+    no elimination.  The basis and the inverse are kept as integer
+    numerators over one denominator each, so reading and confirming are
+    integer arithmetic.
+    """
+
+    __slots__ = ("_n", "_basis_den", "_basis", "_inverse_den", "_inverse")
+
+    def __init__(self, basis: Sequence[Vec], n: int):
+        self._n = n
+        self._basis_den, self._basis = int_terms(basis)
+        self._inverse_den, self._inverse = 1, {}
+        if not basis:
+            return
+        owners = [0] * n
+        for support in self._basis:
+            for j, _ in support:
+                owners[j] += 1
+        owned = [next(((j, x) for j, x in support if owners[j] == 1), None)
+                 for support in self._basis]
+        b = len(owned)
+        if None not in owned:
+            # each vector alone at its row: the block is diagonal
+            rows = [j for j, _ in owned]
+            inverse = [[(i, Fraction(self._basis_den, x))] for i, (_, x) in enumerate(owned)]
+        else:
+            rows = list(rref(Mat.from_rows(basis, cols=n))[1])
+            # [block | I] reduces to [I | block^-1]
+            red = rref(Mat.from_rows([tuple(v[r] for r in rows) + unit_vec(b, i)
+                                      for i, v in enumerate(basis)]))[0]
+            inverse = [[(i, red[i, b + j]) for i in range(b) if red[i, b + j]] for j in range(b)]
+        # by ambient row: the (coordinate, numerator) pairs it contributes to
+        den = self._inverse_den = lcm(*{c.denominator for col in inverse for _, c in col})
+        for j, col in enumerate(inverse):
+            for i, c in col:
+                self._inverse.setdefault(rows[i], []).append(
+                    (j, c.numerator * (den // c.denominator)))
+
+    def _int_combination(self, terms: Iterable[tuple[int, int]]) -> dict[int, int]:
+        """Sum over the given (i, x) of x times basis_i's numerators, by position."""
+        out: dict[int, int] = {}
+        for i, x in terms:
+            if x:
+                for j, c in self._basis[i]:
+                    out[j] = out.get(j, 0) + x * c
+        return out
+
+    def scaled_combination(self, coords: Vec) -> tuple[int, dict[int, int]]:
+        """sum_i coords_i basis_i as (D, its numerators over D by position)."""
+        den, (terms,) = int_terms([coords])
+        return den * self._basis_den, self._int_combination(terms)
+
+    def combine(self, coords: Vec) -> Vec:
+        """The ambient vector sum_i coords_i basis_i."""
+        return _dense(self._n, *self.scaled_combination(coords))
+
+    def coords(self, w: Vec) -> Optional[Vec]:
+        """Coordinates of w in the basis, or None if w is outside its span."""
+        if len(w) != self._n:
+            raise ValueError("vector length does not match the chart")
+        den, (target,) = int_terms([w])
+        return self.scaled_coords(den, dict(target))
+
+    def scaled_coords(self, den: int, target: dict[int, int]) -> Optional[Vec]:
+        """coords() of the vector with entries target[j] / den, zero elsewhere.
+
+        The given numerators must be nonzero.
+        """
+        # x_j = num_j / (den * inverse_den); basis_i = int_i / basis_den
+        nums = [0] * len(self._basis)
+        for r, x in target.items():
+            for j, c in self._inverse.get(r, ()):
+                nums[j] += x * c
+        back = self._int_combination(enumerate(nums))
+        scale = self._inverse_den * self._basis_den
+        if any(back.get(j, 0) != x * scale for j, x in target.items()) or \
+                sum(1 for x in back.values() if x) != len(target):
+            return None
+        out_den = den * self._inverse_den
+        return tuple([Fraction(x, out_den) if x else _ZERO for x in nums])
 
 
 @dataclass(frozen=True)
@@ -275,23 +452,41 @@ class CohomologyBasis:
         Given a closed v, returns (coeffs, eta) with
         v = sum coeffs_i rep_i + d eta, both exact.  Raises if v is not a
         cocycle (then it is not in the span of reps and exact forms).
+        The solution is the one solve() gives for [reps | d_(k-1)]: the
+        pivot columns of that matrix, its leftmost independent ones,
+        carry a chart, and every other unknown is zero.
+        """
+        pivots, chart, width = self._projection()
+        coords = chart.coords(v)
+        if coords is None:
+            raise PreconditionError("vector is not a cocycle in this degree")
+        sol = [_ZERO] * width
+        for p, c in zip(pivots, coords):
+            sol[p] = c
+        nreps = len(self.reps)
+        return tuple(sol[:nreps]), tuple(sol[nreps:])
+
+    def _projection(self) -> tuple[tuple[int, ...], Chart, int]:
+        """Pivot columns of [reps | d_(k-1)], their chart and the width.
+
+        A complex's ``_proj_cache`` keeps them per degree, next to the
+        representatives they were computed for.
         """
         k = self.degree
-        below = self.complex.dmat(k - 1) if k >= 1 else None
+        cache = getattr(self.complex, "_proj_cache", None)
+        hit = cache.get(k) if cache is not None else None
+        if hit is not None and (hit[0] is self.reps or hit[0] == self.reps):
+            return hit[1]
+        nk = self.complex.space_dim(k)
         cols = list(self.reps)
-        nb = below.cols if below is not None else 0
-        if below is not None:
-            cols.extend(below.col(j) for j in range(nb))
-        if not cols:
-            if is_zero_vec(v):
-                return (), ()
-            raise PreconditionError("vector is not a cocycle in this degree")
-        sol = solve(Mat.from_cols(cols, rows=len(v)), v)
-        if sol is None:
-            raise PreconditionError("vector is not a cocycle in this degree")
-        coeffs = sol[: len(self.reps)]
-        eta = sol[len(self.reps):]
-        return coeffs, eta
+        if k >= 1:
+            below = self.complex.dmat(k - 1)
+            cols.extend(below.col(j) for j in range(below.cols))
+        pivots = rref(Mat.from_cols(cols, rows=nk))[1] if cols else ()
+        projection = (pivots, Chart([cols[p] for p in pivots], nk), len(cols))
+        if cache is not None:
+            cache[k] = (self.reps, projection)
+        return projection
 
     def class_of(self, v: Vec) -> "CohomologyClass":
         coeffs, _ = self.express(v)
@@ -341,11 +536,13 @@ class CohomologyClass:
 
     def representative(self) -> Vec:
         reps = cohomology(self.complex, self.degree).reps
-        out = zero_vec(self.complex.space_dim(self.degree))
+        out = [_ZERO] * self.complex.space_dim(self.degree)
         for c, rep in zip(self.coeffs, reps):
-            if c != 0:
-                out = vadd(out, tuple(c * x for x in rep))
-        return out
+            if c:
+                for j, x in enumerate(rep):
+                    if x:
+                        out[j] += c * x
+        return tuple(out)
 
     def representative_form(self) -> ExteriorForm:
         return self.complex.form(self.degree, self.representative())

@@ -18,58 +18,27 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cochain import (
+    Chart,
     CochainComplex,
     CohomologyClass,
     ExteriorForm,
+    SparseForm,
     ce_complex,
     cohomology,
     cup,
-    wedge,
 )
 from .errors import InternalCheckError
 from .hull import DEFAULT_FINITE_BOUND, HullData, validate_hull_data
 from .linalg import (
-    QQ,
     Mat,
     Vec,
     is_zero_vec,
     kernel_basis,
-    rref,
     solve,
     unit_vec,
     vadd,
     vscale,
 )
-
-_ZERO = QQ(0)
-
-
-def _chart(basis: Sequence[Vec]) -> tuple[tuple[tuple[int, QQ], ...], ...]:
-    """Rows P on which the basis vectors are invertible, with the inverse.
-
-    Entry j lists the nonzero (row, coefficient) pairs of column j of the
-    inverse of the block at P, so coordinate j of sum_i x_i basis_i is
-    sum over those pairs of w[row] * coefficient.  A kernel_basis output
-    is 1 at its own free column and 0 at the other free columns; such
-    columns are preferred, and then the block is the identity.
-    """
-    if not basis:
-        return ()
-    n = len(basis[0])
-    owners = [0] * n
-    for v in basis:
-        for j, x in enumerate(v):
-            if x:
-                owners[j] += 1
-    rows = [next((j for j, x in enumerate(v) if x and owners[j] == 1), None) for v in basis]
-    if None in rows:
-        rows = list(rref(Mat.from_rows(basis, cols=n))[1])
-    b = len(rows)
-    # [block | I] reduces to [I | block^-1]
-    inverse = rref(Mat.from_rows([tuple(v[r] for r in rows) + unit_vec(b, i)
-                                  for i, v in enumerate(basis)]))[0]
-    return tuple(tuple((r, inverse[i, b + j]) for i, r in enumerate(rows) if inverse[i, b + j])
-                 for j in range(b))
 
 
 def derivation_extension_matrix(cx: CochainComplex, d: Mat, k: int) -> Mat:
@@ -78,32 +47,12 @@ def derivation_extension_matrix(cx: CochainComplex, d: Mat, k: int) -> Mat:
     On dual generators the action is (D alpha)(x) = -alpha(D x), then it
     is extended by the Leibniz rule without signs.
     """
-    n = cx.dim
-    one_images = [ExteriorForm.make(1, {(j,): -d.entries[i][j] for j in range(n)})
-                  for i in range(n)]
-    cols = []
-    for idx in cx.basis(k):
-        total = ExteriorForm.zero(k)
-        for t in range(k):
-            piece = wedge(ExteriorForm.monomial(idx[:t]), one_images[idx[t]])
-            piece = wedge(piece, ExteriorForm.monomial(idx[t + 1:]))
-            total = total + piece
-        cols.append(cx.coords(total))
-    return Mat.from_cols(cols, rows=cx.space_dim(k))
+    return cx.derivation_matrix(k, [tuple(-x for x in row) for row in d.entries], 1)
 
 
 def pullback_matrix(cx: CochainComplex, g: Mat, k: int) -> Mat:
     """Action of an algebra automorphism on k-forms, (g alpha)(x) = alpha(g x)."""
-    n = cx.dim
-    one_images = [ExteriorForm.make(1, {(j,): g.entries[i][j] for j in range(n)})
-                  for i in range(n)]
-    cols = []
-    for idx in cx.basis(k):
-        total = ExteriorForm.monomial(())
-        for i in idx:
-            total = wedge(total, one_images[i])
-        cols.append(cx.coords(total))
-    return Mat.from_cols(cols, rows=cx.space_dim(k))
+    return cx.algebra_map_matrix(k, g.entries)
 
 
 def averaging_projector(cx: CochainComplex, group: Sequence[Mat], k: int) -> Mat:
@@ -136,11 +85,11 @@ class InvariantComplex:
     Implements the same surface as CochainComplex, so cohomology, cup
     products and all downstream checks run on it unchanged.
 
-    Each degree has a chart: ambient rows P on which the sub-basis is
-    invertible, with the inverse of that block.  Sub-coordinates are read
-    off at P and confirmed by lifting back, so restriction never solves
-    a system.  Without given differentials the restricted ones are
-    computed, which checks that the sub-bases are closed under d.
+    Each degree has a Chart of its sub-basis: sub-coordinates are read
+    off where the sub-basis is invertible and confirmed by lifting back,
+    so restriction never solves a system.  Without given differentials
+    the restricted ones are computed, which checks that the sub-bases
+    are closed under d.
     """
 
     def __init__(self, ambient: CochainComplex, sub_bases: Sequence[tuple[Vec, ...]],
@@ -148,9 +97,11 @@ class InvariantComplex:
         self.ambient = ambient
         self.dim = ambient.dim
         self._sub = [tuple(b) for b in sub_bases]
-        self._support = [[tuple(j for j, x in enumerate(v) if x) for v in b] for b in self._sub]
-        self._chart = [_chart(b) for b in self._sub]
+        self._charts = [Chart(b, ambient.space_dim(k)) for k, b in enumerate(self._sub)]
         self._coh_cache: dict[int, tuple[Vec, ...]] = {}
+        self._proj_cache: dict[int, tuple] = {}
+        # cup products of cohomology classes, by degrees and coefficients
+        self._cup_memo: dict[tuple[int, Vec, int, Vec], Vec] = {}
         if dmats is None:
             dmats = [self._restricted_differential(k) for k in range(self.dim + 1)]
         self._dmats = list(dmats)
@@ -172,21 +123,15 @@ class InvariantComplex:
         return self._dmats[k]
 
     def lift(self, k: int, coords: Vec) -> Vec:
-        out = [_ZERO] * self.ambient.space_dim(k)
-        if 0 <= k <= self.dim:
-            for c, b, support in zip(coords, self._sub[k], self._support[k]):
-                if c:
-                    for j in support:
-                        out[j] += c * b[j]
-        return tuple(out)
+        if not 0 <= k <= self.dim:
+            return ()
+        return self._charts[k].combine(coords)
 
     def restrict(self, k: int, ambient_coords: Vec) -> Optional[Vec]:
         """Sub-coordinates of an ambient vector, or None if outside."""
-        chart = self._chart[k] if 0 <= k <= self.dim else ()
-        coords = tuple(sum((ambient_coords[r] * c for r, c in col), _ZERO) for col in chart)
-        if self.lift(k, coords) != tuple(ambient_coords):
-            return None
-        return coords
+        if not 0 <= k <= self.dim:
+            return None if ambient_coords else ()
+        return self._charts[k].coords(ambient_coords)
 
     def _restricted_differential(self, k: int) -> Mat:
         rows = self.space_dim(k + 1)
@@ -211,11 +156,27 @@ class InvariantComplex:
     def wedge_coords(self, p: int, u: Vec, q: int, v: Vec) -> Vec:
         if p + q > self.dim:
             return ()
-        w = self.ambient.wedge_coords(p, self.lift(p, u), q, self.lift(q, v))
-        coords = self.restrict(p + q, w)
+        a = self.ambient.sparse_from(p, *self._charts[p].scaled_combination(u))
+        b = self.ambient.sparse_from(q, *self._charts[q].scaled_combination(v))
+        return self._restricted_product(a, b, p + q)
+
+    def _restricted_product(self, a: SparseForm, b: SparseForm, k: int) -> Vec:
+        coords = self._charts[k].scaled_coords(*self.ambient.product(a, b, k))
         if coords is None:
             raise InternalCheckError("invariant model is not closed under wedge")
         return coords
+
+    def check_closed_under_wedge(self) -> None:
+        """Raise unless the product of any two sub-basis forms lies in the model.
+
+        Each unordered pair is wedged once, since v ^ u = (-1)^(pq) u ^ v.
+        """
+        forms = [[self.ambient.sparse(k, b) for b in sub] for k, sub in enumerate(self._sub)]
+        for p in range(1, self.dim):
+            for q in range(p, self.dim - p + 1):
+                for i, a in enumerate(forms[p]):
+                    for b in forms[q][i if p == q else 0:]:
+                        self._restricted_product(a, b, p + q)
 
     def has_zero_differential(self) -> bool:
         return all(self.dmat(k).is_zero() for k in range(self.dim + 1))
@@ -243,30 +204,21 @@ def invariant_subcomplex(h: HullData, finite_bound: int = DEFAULT_FINITE_BOUND) 
 
     sub_bases: list[tuple[Vec, ...]] = []
     for k in range(n + 1):
-        nk = cx.space_dim(k)
-        rows: list[Vec] = []
-        for d in h.torus_derivations:
-            rows.extend(derivation_extension_matrix(cx, d, k).entries)
+        basis = torus_invariant_basis(cx, h.torus_derivations, k)
         if group:
-            proj = averaging_projector(cx, group, k)
-            ident = Mat.identity(nk)
-            rows.extend((proj - ident).entries)
-        if rows:
+            # kernel_basis depends on the kernel only: cut out the torus
+            # invariants by their annihilator, then add the group's rows
+            nk = cx.space_dim(k)
+            rows = kernel_basis(Mat.from_rows(basis, cols=nk))
+            rows.extend((averaging_projector(cx, group, k) - Mat.identity(nk)).entries)
             basis = kernel_basis(Mat.from_rows(rows, cols=nk))
-        else:
-            basis = [unit_vec(nk, i) for i in range(nk)]
         sub_bases.append(tuple(basis))
 
     if len(sub_bases[0]) != 1:
         raise InternalCheckError("invariant model lost the constants in degree zero")
 
     ic = InvariantComplex(cx, sub_bases)
-    for p in range(1, n):
-        for q in range(1, n - p + 1):
-            for u in range(ic.space_dim(p)):
-                for v in range(ic.space_dim(q)):
-                    ic.wedge_coords(p, unit_vec(ic.space_dim(p), u),
-                                    q, unit_vec(ic.space_dim(q), v))
+    ic.check_closed_under_wedge()
     return ic
 
 
@@ -327,9 +279,9 @@ def massey_triple(ic: InvariantComplex, a: CohomologyClass, b: CohomologyClass,
     vanishes exactly when its class lies in a.H + H.c.
     """
     p, q, s = a.degree, b.degree, c.degree
-    if not cup(ic, a, b).is_zero():
+    if not _cup(ic, a, b).is_zero():
         return MasseyResult("precondition_violation", detail="cup(a, b) is nonzero")
-    if not cup(ic, b, c).is_zero():
+    if not _cup(ic, b, c).is_zero():
         return MasseyResult("precondition_violation", detail="cup(b, c) is nonzero")
 
     ra, rb, rc = a.representative(), b.representative(), c.representative()
@@ -352,11 +304,11 @@ def massey_triple(ic: InvariantComplex, a: CohomologyClass, b: CohomologyClass,
 
     indet: list[Vec] = []
     for h in _basis_classes(ic, q + s - 1):
-        v = cup(ic, a, h).coeffs
+        v = _cup(ic, a, h).coeffs
         if not is_zero_vec(v):
             indet.append(v)
     for h in _basis_classes(ic, p + q - 1):
-        v = cup(ic, h, c).coeffs
+        v = _cup(ic, h, c).coeffs
         if not is_zero_vec(v):
             indet.append(v)
 
@@ -365,6 +317,22 @@ def massey_triple(ic: InvariantComplex, a: CohomologyClass, b: CohomologyClass,
     if _in_coeff_span(indet, rho):
         return MasseyResult("vanishes", witness)
     return MasseyResult("nonvanishing", witness)
+
+
+def _cup(ic: InvariantComplex, a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
+    """cup(ic, a, b), remembered in the complex by degrees and coefficients.
+
+    The memo holds coefficient tuples only, never classes that point
+    back at the complex.
+    """
+    memo = getattr(ic, "_cup_memo", None)
+    if memo is None:
+        return cup(ic, a, b)
+    key = (a.degree, a.coeffs, b.degree, b.coeffs)
+    coeffs = memo.get(key)
+    if coeffs is None:
+        coeffs = memo[key] = cup(ic, a, b).coeffs
+    return CohomologyClass(ic, a.degree + b.degree, coeffs)
 
 
 def _basis_classes(ic: InvariantComplex, k: int) -> list[CohomologyClass]:

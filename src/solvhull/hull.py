@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import InternalCheckError, PreconditionError, StructureError
+from .errors import InternalCheckError, PreconditionError, SolvhullError, StructureError
 from .lie import (
     LieAlgebra,
     Subspace,
@@ -103,7 +103,12 @@ def jordan_chevalley(m: Mat) -> JordanPair:
     return JordanPair(s, n)
 
 
-def _check_derivation(g: LieAlgebra, d: Mat, what: str) -> None:
+def _check_derivation(g: LieAlgebra, d: Mat, error: type[SolvhullError], message: str) -> None:
+    """Raise error(message + the basis pair) where d breaks the Leibniz rule.
+
+    InternalCheckError marks a derivation the program computed (a bug),
+    StructureError one the input supplied.
+    """
     for i in range(g.dim):
         ei = unit_vec(g.dim, i)
         for j in range(i + 1, g.dim):
@@ -111,8 +116,7 @@ def _check_derivation(g: LieAlgebra, d: Mat, what: str) -> None:
             lhs = d.apply(g.c[i][j])
             rhs = vadd(g.bracket(d.apply(ei), ej), g.bracket(ei, d.apply(ej)))
             if lhs != rhs:
-                raise InternalCheckError(
-                    f"{what} violates the Leibniz rule on basis pair ({i}, {j})")
+                raise error(f"{message} basis pair ({i}, {j})")
 
 
 def semisimple_derivation(g: LieAlgebra, x: Vec) -> Mat:
@@ -124,7 +128,8 @@ def semisimple_derivation(g: LieAlgebra, x: Vec) -> Mat:
 
 def _semisimple_derivation_unchecked(g: LieAlgebra, x: Vec) -> Mat:
     d = jordan_chevalley(ad_matrix(g, x)).s
-    _check_derivation(g, d, "semisimple part of an adjoint")
+    _check_derivation(g, d, InternalCheckError,
+                      "semisimple part of an adjoint violates the Leibniz rule on")
     return d
 
 
@@ -304,7 +309,8 @@ def build_splittable_hull(g: LieAlgebra) -> SplittableHull:
         for b in range(a + 1, r):
             if not imf[a].commutes_with(imf[b]):
                 raise InternalCheckError("torus derivations do not commute")
-        _check_derivation(g, imf[a], "torus basis element")
+        _check_derivation(g, imf[a], InternalCheckError,
+                          "torus basis element violates the Leibniz rule on")
 
     d_coords = []
     for i in range(n):
@@ -587,7 +593,7 @@ def validate_hull_data(h: HullData, finite_bound: int = DEFAULT_FINITE_BOUND) ->
     for d in h.torus_derivations:
         if d.shape != (h.u.dim, h.u.dim):
             raise StructureError("torus derivation has wrong shape")
-        _check_derivation_structure(h.u, d)
+        _check_derivation(h.u, d, StructureError, "matrix is not a derivation at")
         if not is_semisimple_matrix(d):
             raise StructureError("torus derivation is not semisimple")
     for a in range(len(h.torus_derivations)):
@@ -609,17 +615,6 @@ def validate_hull_data(h: HullData, finite_bound: int = DEFAULT_FINITE_BOUND) ->
     return enumerate_finite_group(h.finite_generators, finite_bound)
 
 
-def _check_derivation_structure(u: LieAlgebra, d: Mat) -> None:
-    for i in range(u.dim):
-        ei = unit_vec(u.dim, i)
-        for j in range(i + 1, u.dim):
-            ej = unit_vec(u.dim, j)
-            lhs = d.apply(u.c[i][j])
-            rhs = vadd(u.bracket(d.apply(ei), ej), u.bracket(ei, d.apply(ej)))
-            if lhs != rhs:
-                raise StructureError(f"matrix is not a derivation at basis pair ({i}, {j})")
-
-
 def hull_action_data(g: LieAlgebra) -> HullData:
     """Nilshadow of g with the torus derivations acting on it.
 
@@ -631,7 +626,8 @@ def hull_action_data(g: LieAlgebra) -> HullData:
     nbar = hull.nbar
     r = len(hull.imf_basis)
     for a, d in enumerate(hull.imf_basis):
-        _check_derivation(nbar, d, "torus derivation on the nilshadow")
+        _check_derivation(nbar, d, InternalCheckError,
+                          "torus derivation on the nilshadow violates the Leibniz rule on")
         for i in range(nbar.dim):
             lhs = hull.gbar.bracket(unit_vec(hull.gbar.dim, a), hull.nbar_inclusion[i])
             rhs = zero_vec(hull.gbar.dim)

@@ -14,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, TypeVar, Union
 
 QQ = Fraction
+K = TypeVar("K")
 _ZERO = Fraction(0)
 
 Scalar = Union[int, str, Fraction]
@@ -63,13 +64,20 @@ def is_zero_vec(v: Vec) -> bool:
     return all(a == 0 for a in v)
 
 
+def _coerce_row(row: Sequence[Scalar]) -> Vec:
+    """A row as a tuple of Fractions; rows of Fractions are not re-coerced."""
+    if all(type(x) is Fraction for x in row):
+        return tuple(row)
+    return tuple([qq(x) for x in row])
+
+
 class Mat:
     """Immutable dense matrix of rationals, row-major."""
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Sequence[Sequence[Scalar]], cols: Optional[int] = None):
-        rows = tuple(tuple(qq(x) for x in row) for row in entries)
+        rows = tuple(_coerce_row(row) for row in entries)
         if rows:
             ncols = len(rows[0])
             if any(len(r) != ncols for r in rows):
@@ -173,8 +181,8 @@ class Mat:
         """
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        da, left = _sparse_int_rows(self)
-        db, right = _sparse_int_rows(other)
+        da, left = int_terms(self.entries)
+        db, right = int_terms(other.entries)
         den = da * db
         ncols = other.cols
         out = []
@@ -244,12 +252,16 @@ class Mat:
         return f"Mat[{self.rows}x{self.cols}: {rows}]"
 
 
-def _sparse_int_rows(m: Mat) -> tuple[int, list[list[tuple[int, int]]]]:
-    """(D, rows) with m = rows / D: the nonzero (column, numerator) pairs of
-    each row over the least common denominator D of all entries."""
-    den = lcm(*{x.denominator for row in m.entries for x in row})
-    return den, [[(j, x.numerator * (den // x.denominator)) for j, x in enumerate(row) if x]
-                 for row in m.entries]
+def int_terms(rows: Sequence[Vec], keys: Optional[Sequence[K]] = None,
+              ) -> tuple[int, list[list[tuple[K, int]]]]:
+    """(D, rows) with the nonzero entries of each row as (key, numerator)
+    pairs, each entry being numerator / D for the least common denominator
+    D of all entries; the key of column j is keys[j], by default j."""
+    den = lcm(*{x.denominator for row in rows for x in row})
+    if keys is None:
+        keys = range(max(map(len, rows), default=0))
+    return den, [[(keys[j], x.numerator * (den // x.denominator)) for j, x in enumerate(row) if x]
+                 for row in rows]
 
 
 def _int_row(row: Vec) -> list[int]:

@@ -2,8 +2,10 @@
 
 Mat @ and rref work on integer numerators and skip zeros; the invariant
 model reads coordinates from a chart instead of solving; the nilradical
-takes traces without forming products.  Each is compared here with the
-plain dense computation it replaced, on random sparse and dense inputs.
+takes traces without forming products; the wedge product works on
+coordinate bitmasks; cohomology projections read a cached chart.  Each
+is compared here with the plain computation it replaced, on random
+sparse and dense inputs.
 """
 
 import gc
@@ -15,21 +17,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solvhull import report
-from solvhull.cochain import ce_complex
-from solvhull.errors import InternalCheckError
+from solvhull.cochain import CohomologyClass, ExteriorForm, ce_complex, cohomology, cup, wedge
+from solvhull.errors import InternalCheckError, PreconditionError
 from solvhull.fixtures import fixture
-from solvhull.formality import InvariantComplex, full_model, invariant_subcomplex
+from solvhull.formality import (
+    InvariantComplex,
+    derivation_extension_matrix,
+    formality_verdict,
+    full_model,
+    invariant_subcomplex,
+    pullback_matrix,
+)
 from solvhull.hull import hull_action_data
 from solvhull.iodoc import algebra_of, hull_data_of, omega_of
 from solvhull.lie import ad_matrix, nilradical
 from solvhull.linalg import (
     Mat,
     kernel_basis,
+    rank,
     reduce_against,
     row_space_basis,
     rref,
     solve,
     unit_vec,
+    vadd,
+    vscale,
 )
 
 from conftest import random_split_solvable
@@ -101,6 +113,23 @@ class TestMatmul:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             Mat.identity(2) @ Mat.identity(3)
+
+
+class TestMatConstruction:
+    def test_fraction_rows_are_kept_and_other_rows_coerced(self):
+        row = (F(1, 2), F(3))
+        m = Mat([row, [1, "2/3"]])
+        assert m.entries[0] is row
+        assert m.entries[1] == (F(1), F(2, 3))
+        assert all(type(x) is F for x in m.entries[1])
+
+    def test_shapes_are_still_checked(self):
+        with pytest.raises(ValueError):
+            Mat.from_rows([(F(1), F(2)), (F(3),)])
+        with pytest.raises(ValueError):
+            Mat.from_rows([(F(1), F(2))], cols=3)
+        with pytest.raises(ValueError):
+            Mat.from_cols([], rows=None)
 
 
 class TestRref:
@@ -237,3 +266,221 @@ def test_lefschetz_stage_does_not_swallow_internal_errors(monkeypatch):
     doc = fixture("complex_sol")
     with pytest.raises(InternalCheckError):
         report.analyze(algebra_of(doc), omega=omega_of(doc))
+
+
+# ---------------------------------------------------------------------------
+# the coordinate wedge and the operators built from it
+# ---------------------------------------------------------------------------
+
+def reference_wedge(a: dict, b: dict) -> dict:
+    """Product of {sorted index tuple: coefficient} forms, sorting by inversions."""
+    out = {}
+    for sa, ca in a.items():
+        for sb, cb in b.items():
+            if set(sa) & set(sb):
+                continue
+            inversions = sum(1 for x in sa for y in sb if x > y)
+            key = tuple(sorted(sa + sb))
+            out[key] = out.get(key, F(0)) + (-1) ** inversions * ca * cb
+    return {key: c for key, c in out.items() if c}
+
+
+def as_terms(cx, k, coords) -> dict:
+    return {idx: c for idx, c in zip(cx.basis(k), coords) if c}
+
+
+def as_coords(cx, k, terms: dict) -> tuple:
+    return tuple(terms.get(idx, F(0)) for idx in cx.basis(k))
+
+
+def reference_extension(cx, images, k: int, sign: int, degree: int) -> Mat:
+    """x_S -> sum_t sign^t x_(S before t) ^ images[s_t] ^ x_(S after t), by reference wedges.
+
+    sign is -1 for the differential, an antiderivation, and 1 for a
+    degree-zero derivation; the columns live in the given degree.
+    """
+    cols = []
+    for idx in cx.basis(k):
+        total = {}
+        for t, s in enumerate(idx):
+            piece = reference_wedge(reference_wedge({idx[:t]: F(sign) ** t}, images[s]),
+                                    {idx[t + 1:]: F(1)})
+            for key, c in piece.items():
+                total[key] = total.get(key, F(0)) + c
+        cols.append(as_coords(cx, degree, total))
+    return Mat.from_cols(cols, rows=cx.space_dim(degree))
+
+
+algebras = st.integers(0, 2 ** 32).map(
+    lambda seed: random_split_solvable(random.Random(seed), max_block_pairs=3))
+WEDGE_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def draw_coords(data, cx, k):
+    return tuple(data.draw(st.lists(entries, min_size=cx.space_dim(k), max_size=cx.space_dim(k))))
+
+
+class TestCoordinateWedge:
+    @WEDGE_SETTINGS
+    @given(st.data(), algebras)
+    def test_matches_reference(self, data, g):
+        cx = ce_complex(g)
+        p, q = data.draw(st.integers(0, g.dim)), data.draw(st.integers(0, g.dim))
+        u, v = draw_coords(data, cx, p), draw_coords(data, cx, q)
+        got = cx.wedge_coords(p, u, q, v)
+        if p + q > g.dim:
+            assert got == ()
+        else:
+            assert got == as_coords(cx, p + q, reference_wedge(as_terms(cx, p, u),
+                                                                as_terms(cx, q, v)))
+
+    @WEDGE_SETTINGS
+    @given(st.data(), algebras)
+    def test_exterior_form_wedge_matches_reference(self, data, g):
+        cx = ce_complex(g)
+        p, q = data.draw(st.integers(0, g.dim)), data.draw(st.integers(0, g.dim))
+        a = as_terms(cx, p, draw_coords(data, cx, p))
+        b = as_terms(cx, q, draw_coords(data, cx, q))
+        assert wedge(ExteriorForm.make(p, a), ExteriorForm.make(q, b)) == \
+            ExteriorForm.make(p + q, reference_wedge(a, b))
+
+    @WEDGE_SETTINGS
+    @given(st.data(), algebras)
+    def test_graded_commutativity(self, data, g):
+        cx = ce_complex(g)
+        p = data.draw(st.integers(0, g.dim))
+        q = data.draw(st.integers(0, g.dim - p))
+        u, v = draw_coords(data, cx, p), draw_coords(data, cx, q)
+        assert cx.wedge_coords(p, u, q, v) == vscale((-1) ** (p * q), cx.wedge_coords(q, v, p, u))
+
+    @WEDGE_SETTINGS
+    @given(st.data(), algebras)
+    def test_leibniz_rule(self, data, g):
+        cx = ce_complex(g)
+        p = data.draw(st.integers(0, g.dim - 1))
+        q = data.draw(st.integers(0, g.dim - 1 - p))
+        u, v = draw_coords(data, cx, p), draw_coords(data, cx, q)
+        d = cx.dmat
+        lhs = d(p + q).apply(cx.wedge_coords(p, u, q, v))
+        rhs = vadd(cx.wedge_coords(p + 1, d(p).apply(u), q, v),
+                   vscale((-1) ** p, cx.wedge_coords(p, u, q + 1, d(q).apply(v))))
+        assert lhs == rhs
+
+    @settings(max_examples=25, deadline=None)
+    @given(algebras)
+    def test_differentials_match_reference(self, g):
+        cx = ce_complex(g)
+        d_one = [{(i, j): -g.c[i][j][k] for i in range(g.dim) for j in range(i + 1, g.dim)
+                  if g.c[i][j][k]} for k in range(g.dim)]
+        for k in range(g.dim):
+            assert cx.dmat(k) == reference_extension(cx, d_one, k, -1, k + 1)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data(), algebras)
+    def test_derivation_and_pullback_match_reference(self, data, g):
+        cx = ce_complex(g)
+        n = g.dim
+        m = data.draw(matrices(n, n, "sparse"))
+        k = data.draw(st.integers(0, n))
+        derivation = [{(j,): -m[i, j] for j in range(n) if m[i, j]} for i in range(n)]
+        assert derivation_extension_matrix(cx, m, k) == reference_extension(cx, derivation, k, 1, k)
+        pulled = []
+        for idx in cx.basis(k):
+            total = {(): F(1)}
+            for i in idx:
+                total = reference_wedge(total, {(j,): m[i, j] for j in range(n) if m[i, j]})
+            pulled.append(as_coords(cx, k, total))
+        assert pullback_matrix(cx, m, k) == Mat.from_cols(pulled, rows=cx.space_dim(k))
+
+
+# ---------------------------------------------------------------------------
+# chart-based cohomology projections, the cup memo and the closure check
+# ---------------------------------------------------------------------------
+
+def solve_reference(basis, v):
+    """express() as the single solve it replaced."""
+    k = basis.degree
+    cols = list(basis.reps)
+    if k >= 1:
+        below = basis.complex.dmat(k - 1)
+        cols.extend(below.col(j) for j in range(below.cols))
+    if not cols:
+        return ((), ()) if not any(v) else None
+    sol = solve(Mat.from_cols(cols, rows=len(v)), v)
+    return None if sol is None else (sol[:basis.betti], sol[basis.betti:])
+
+
+def check_express(data, cx, k):
+    basis = cohomology(cx, k)
+    nk = cx.space_dim(k)
+    coeffs = [data.draw(entries) for _ in basis.reps]
+    v = tuple(sum((c * rep[j] for c, rep in zip(coeffs, basis.reps)), F(0)) for j in range(nk))
+    if k >= 1:
+        eta = draw_coords(data, cx, k - 1)
+        v = vadd(v, cx.dmat(k - 1).apply(eta))
+    assert basis.express(v) == solve_reference(basis, v)
+    noise = draw_coords(data, cx, k)
+    w = vadd(v, noise)
+    expected = solve_reference(basis, w)
+    if expected is None:
+        with pytest.raises(PreconditionError):
+            basis.express(w)
+    else:
+        assert basis.express(w) == expected
+
+
+COMPLEX_SOL = ce_complex(algebra_of(fixture("complex_sol")))
+
+
+class TestExpress:
+    @WEDGE_SETTINGS
+    @given(st.data(), algebras)
+    def test_matches_solve_on_ce_complexes(self, data, g):
+        cx = ce_complex(g)
+        check_express(data, cx, data.draw(st.integers(0, g.dim)))
+
+    @KERNEL_SETTINGS
+    @given(st.data(), st.sampled_from(sorted(MODELS)))
+    def test_matches_solve_on_models(self, data, name):
+        ic = MODELS[name]
+        check_express(data, ic, data.draw(st.integers(0, ic.dim)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.integers(3, 5))
+    def test_where_the_lower_differential_has_a_kernel(self, data, k):
+        # in these degrees the nonzero columns of d_(k-1) are dependent, so
+        # solve() has free unknowns among them and must set them to zero
+        cx = COMPLEX_SOL
+        below = cx.dmat(k - 1)
+        assert rank(below) < sum(1 for j in range(below.cols) if any(below.col(j)))
+        check_express(data, cx, k)
+
+    def test_a_non_cocycle_is_rejected(self):
+        cx = ce_complex(algebra_of(fixture("heisenberg")))
+        basis = cohomology(cx, 1)
+        with pytest.raises(PreconditionError):
+            basis.express(unit_vec(3, 2))  # dz = -x^y is not closed
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "filiform4", "kodaira_thurston"])
+def test_cup_memo_matches_fresh_cup_products(name):
+    ic = full_model(ce_complex(algebra_of(fixture(name))))
+    formality_verdict(ic)
+    assert ic._cup_memo
+    for (p, a, q, b), coeffs in ic._cup_memo.items():
+        assert coeffs == cup(ic, CohomologyClass(ic, p, a), CohomologyClass(ic, q, b)).coeffs
+
+
+def test_model_closed_under_d_but_not_wedge():
+    # Heisenberg [x, y] = z: the span of 1; x, z; x^y; x^y^z is closed
+    # under d (dz = -x^y) but x^z is missing from degree two
+    cx = ce_complex(algebra_of(fixture("heisenberg")))
+    one, x, z = (F(1),), unit_vec(3, 0), unit_vec(3, 2)
+    xy, xyz = unit_vec(3, 0), (F(1),)
+    ic = InvariantComplex(cx, [(one,), (x, z), (xy,), (xyz,)])
+    assert ic.dmat(1) == Mat([[0, -1]])
+    with pytest.raises(InternalCheckError, match="not closed under wedge"):
+        ic.wedge_coords(1, (F(1), F(0)), 1, (F(0), F(1)))
+    with pytest.raises(InternalCheckError, match="not closed under wedge"):
+        ic.check_closed_under_wedge()
+    assert ic.wedge_coords(1, (F(1), F(0)), 1, (F(1), F(0))) == (F(0),)
