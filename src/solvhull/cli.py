@@ -20,8 +20,8 @@ from typing import Any, Optional, Sequence
 from .cochain import ExteriorForm, betti_numbers, cohomology
 from .errors import InternalCheckError, PreconditionError, SolvhullError, StructureError
 from .fixtures import fixture
-from .formality import FormalityVerdict, MasseyWitness, invariant_subcomplex
-from .hull import SplitForm, hull_action_data, recognize_split_form, unipotent_hull_abelian
+from .formality import FormalityVerdict, MasseyWitness, formality_verdict
+from .hull import SplitForm
 from .iodoc import (
     InputDocument,
     OmegaTerm,
@@ -42,6 +42,10 @@ from .report import (
     TypeOneVerdict,
     analyze,
     full_model_of,
+    hull_stage,
+    input_complex,
+    lefschetz_stages,
+    model_stage,
 )
 
 EXIT_OK = 0
@@ -372,9 +376,8 @@ def run(command: str, doc: InputDocument,
             return EXIT_OK, payload, [f"nilradical: dim {nr.dim}, basis {{ {basis} }}"]
 
         if command == "hull":
-            verdict = unipotent_hull_abelian(g)
-            hull = verdict.hull
-            split = recognize_split_form(g) if verdict.abelian else None
+            stage = hull_stage(g)
+            hull, verdict, split = stage.splittable, stage.abelianity, stage.split_form
             nonzero = [
                 {"i": i + 1, "j": j + 1, "bracket": _vec(hull.nbar.c[i][j])}
                 for i in range(hull.nbar.dim)
@@ -421,60 +424,56 @@ def run(command: str, doc: InputDocument,
                 lines.append(f"H^{k}: dim {basis.betti}  [{pretty}]")
             return EXIT_OK, {"betti": list(betti), "degrees": degrees}, lines
 
-        report = analyze(
-            hull_data_of(doc) if doc.hull_override is not None else g,
-            omega=omega_of(doc),
-            massey_depth=depth,
-            finite_bound=bound,
-        )
-
+        subject = hull_data_of(doc) if doc.hull_override is not None else g
+        omega = omega_of(doc)
         if command == "analyze":
+            report = analyze(subject, omega=omega, massey_depth=depth, finite_bound=bound)
             code = EXIT_OK if report.validation is None else EXIT_VALIDATION
             return code, report_payload(report), report_text(report)
 
+        # the other commands run only the stages they report on
+        stage = model_stage(subject, bound)
+
         if command == "invariants":
-            if report.model_dims is None:
+            if stage is None:
                 return (EXIT_PRECONDITION, {"error": "no invariant model available"},
                         ["error: no invariant model available"])
-            hdata = hull_data_of(doc)
-            if hdata is None:
-                hdata = hull_action_data(g)
-            model = invariant_subcomplex(hdata, bound)
+            model = stage.model
             degrees = []
-            lines = ["invariant model dims: " + " ".join(map(str, report.model_dims))]
+            lines = ["invariant model dims: " + " ".join(map(str, model.dims()))]
             for k in range(model.dim + 1):
                 forms = model.basis_forms(k)
                 degrees.append({"degree": k, "dim": len(forms),
                                 "basis": [_form_payload(f) for f in forms]})
-                pretty = ", ".join(format_form(f, hdata.u.basis_names) for f in forms) or "-"
+                pretty = ", ".join(format_form(f, stage.data.u.basis_names) for f in forms) or "-"
                 lines.append(f"deg {k}: dim {len(forms)}  [{pretty}]")
-            payload = {"dims": list(report.model_dims),
-                       "betti": list(report.model_betti or ()),
+            payload = {"dims": list(model.dims()),
+                       "betti": list(betti_numbers(model)),
                        "degrees": degrees}
             return EXIT_OK, payload, lines
 
         if command == "formality":
-            if report.formality is None:
+            if stage is None:
                 return (EXIT_PRECONDITION, {"error": "formality stage did not run"},
                         ["error: formality stage did not run"])
-            return (EXIT_OK, _formality_payload(report.formality),
-                    _formality_text(report.formality))
+            verdict = formality_verdict(stage.model, depth)
+            return EXIT_OK, _formality_payload(verdict), _formality_text(verdict)
 
         if command == "lefschetz":
-            if omega_of(doc) is None:
+            if omega is None:
                 return (EXIT_PRECONDITION,
                         {"error": "the lefschetz command needs omega (document field or --omega)"},
                         ["error: no omega supplied"])
-            if report.lefschetz is None:
-                reasons = "; ".join(f"{s.stage}: {s.message}" for s in report.skipped) \
+            full = input_complex(stage, g) if stage is not None else None
+            symplectic, rep, skipped = lefschetz_stages(stage, full, omega)
+            if rep is None:
+                reasons = "; ".join(f"{s.stage}: {s.message}" for s in skipped) \
                     or "symplectic verification failed"
                 return (EXIT_PRECONDITION, {"error": reasons}, [f"error: {reasons}"])
             payload = {
-                "symplectic": _symplectic_payload(report.symplectic)
-                if report.symplectic is not None else None,
-                "lefschetz": _lefschetz_payload(report.lefschetz),
+                "symplectic": _symplectic_payload(symplectic) if symplectic is not None else None,
+                "lefschetz": _lefschetz_payload(rep),
             }
-            rep = report.lefschetz
             lines = [f"hard Lefschetz: {'holds' if rep.holds else 'FAILS'}"]
             for d in rep.degrees:
                 lines.append(f"  i={d.degree}: {'iso' if d.iso else 'NOT iso'}; "

@@ -27,6 +27,7 @@ from .lie import (
     ad_matrix,
     complement_directions,
     derived_subalgebra,
+    first_nonzero_bracket,
     is_ideal,
     is_nilpotent,
     is_solvable,
@@ -392,22 +393,16 @@ class AbelianityVerdict:
 
     abelian: bool
     witness: Optional[tuple[int, int, Vec]]
-    hull: SplittableHull
 
 
-def unipotent_hull_abelian(g: LieAlgebra) -> AbelianityVerdict:
+def unipotent_hull_abelian(hull: SplittableHull) -> AbelianityVerdict:
     """True iff the nilshadow has identically zero structure constants.
 
     On a negative answer the witness is the first basis pair (i, j) with
     a nonzero nilshadow bracket, together with that bracket.
     """
-    hull = build_splittable_hull(g)
-    nbar = hull.nbar
-    for i in range(nbar.dim):
-        for j in range(i + 1, nbar.dim):
-            if not is_zero_vec(nbar.c[i][j]):
-                return AbelianityVerdict(False, (i, j, nbar.c[i][j]), hull)
-    return AbelianityVerdict(True, None, hull)
+    witness = first_nonzero_bracket(hull.nbar)
+    return AbelianityVerdict(witness is None, witness)
 
 
 @dataclass(frozen=True)
@@ -424,20 +419,19 @@ class SplitForm:
     action: tuple[Mat, ...]
 
 
-def recognize_split_form(g: LieAlgebra) -> Optional[SplitForm]:
-    """Recover g = R^a acting semisimply on R^m when the hull is abelian.
+def recognize_split_form(g: LieAlgebra, hull: SplittableHull) -> Optional[SplitForm]:
+    """Recover g = R^a acting semisimply on R^m when its hull is abelian.
 
-    Returns None when the nilshadow is nonabelian.  The abelian
-    complement is found constructively: starting from the coordinate
-    complement of the nilradical, a correction inside the weight-nonzero
-    part of the nilradical is solved for linearly so that the corrected
-    lifts commute.
+    hull is the splittable hull of g; returns None when its nilshadow is
+    nonabelian.  The abelian complement is found constructively: starting
+    from the coordinate complement of the nilradical, a correction inside
+    the weight-nonzero part of the nilradical is solved for linearly so
+    that the corrected lifts commute.
     """
-    verdict = unipotent_hull_abelian(g)
-    if not verdict.abelian:
+    if not unipotent_hull_abelian(hull).abelian:
         return None
     n = g.dim
-    nr = verdict.hull.nilradical
+    nr = hull.nilradical
     m = nr.dim
 
     for u in nr.basis:
@@ -615,16 +609,17 @@ def validate_hull_data(h: HullData, finite_bound: int = DEFAULT_FINITE_BOUND) ->
     return enumerate_finite_group(h.finite_generators, finite_bound)
 
 
-def hull_action_data(g: LieAlgebra) -> HullData:
-    """Nilshadow of g with the torus derivations acting on it.
+def hull_action_data(hull: SplittableHull) -> HullData:
+    """Nilshadow of a splittable hull with the torus derivations acting on it.
 
     The torus action on the nilshadow has the same matrices as on g under
     the identification x <-> x - d_x; this is verified inside the hull,
-    and the derivation property on the nilshadow is checked here.
+    and the derivation property on the nilshadow is checked here.  The
+    other HullData invariants hold by construction and are checked in
+    build_splittable_hull: the nilshadow is nilpotent, the torus
+    derivations are semisimple and commute, and there is no finite part.
     """
-    hull = build_splittable_hull(g)
     nbar = hull.nbar
-    r = len(hull.imf_basis)
     for a, d in enumerate(hull.imf_basis):
         _check_derivation(nbar, d, InternalCheckError,
                           "torus derivation on the nilshadow violates the Leibniz rule on")
@@ -636,6 +631,4 @@ def hull_action_data(g: LieAlgebra) -> HullData:
                     rhs = vadd(rhs, vscale(ck, hull.nbar_inclusion[kk]))
             if lhs != rhs:
                 raise InternalCheckError("torus action does not transport to the nilshadow")
-    data = HullData(nbar, hull.imf_basis, ())
-    validate_hull_data(data)
-    return data
+    return HullData(nbar, hull.imf_basis, ())

@@ -263,6 +263,16 @@ def is_nilpotent(g: LieAlgebra) -> bool:
     return lower_central_series(g)[-1].dim == 0
 
 
+def first_nonzero_bracket(g: LieAlgebra) -> Optional[tuple[int, int, Vec]]:
+    """The first basis pair i < j with [e_i, e_j] != 0 and that bracket;
+    None exactly when g is abelian."""
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            if not is_zero_vec(g.c[i][j]):
+                return i, j, g.c[i][j]
+    return None
+
+
 def is_ideal(g: LieAlgebra, s: Subspace) -> bool:
     """Bracket-closure test: [g, s] contained in s."""
     return all(

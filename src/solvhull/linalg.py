@@ -124,7 +124,11 @@ class Mat:
             if rows is None:
                 raise ValueError("empty column list needs an explicit row count")
             return Mat([[] for _ in range(rows)], cols=0)
-        n = len(cols[0]) if rows is None else rows
+        n = len(cols[0])
+        if any(len(c) != n for c in cols):
+            raise ValueError("ragged columns")
+        if rows is not None and rows != n:
+            raise ValueError("row count mismatch")
         return Mat([[c[i] for c in cols] for i in range(n)], cols=len(cols))
 
     @staticmethod

@@ -12,6 +12,13 @@ A formal model that is not type (I) cannot come from a Kaehler manifold
 report combines the hull abelianity and type-(I) verdicts into an
 obstruction statement.  The lattice-existence assumption is always
 surfaced verbatim; the algebra layer cannot check it.
+
+The pipeline is a chain of stages, each artifact built once and passed
+on: hull_stage (the splittable hull, its abelianity and split form),
+model_stage (the hull data and the invariant model), input_complex (the
+input algebra's own complex) and lefschetz_stages (the symplectic check
+and hard Lefschetz).  analyze composes all of them; the CLI's model
+commands call only the stages they report on.
 """
 
 from __future__ import annotations
@@ -33,21 +40,27 @@ from .hull import (
     AbelianityVerdict,
     HullData,
     SplitForm,
+    SplittableHull,
+    build_splittable_hull,
     hull_action_data,
     recognize_split_form,
     unipotent_hull_abelian,
-    validate_hull_data,
 )
 from .lefschetz import LefschetzReport, SymplecticCheck, hard_lefschetz, verify_symplectic
-from .lie import LieAlgebra, is_nilpotent, is_solvable, nilradical, validate
+from .lie import (
+    LieAlgebra,
+    first_nonzero_bracket,
+    is_nilpotent,
+    is_solvable,
+    nilradical,
+    validate,
+)
 from .linalg import (
     Interval,
-    Mat,
     Poly,
     Vec,
     char_poly,
     is_semisimple_matrix,
-    is_zero_vec,
     squarefree_part,
     sturm_real_roots_in,
 )
@@ -82,8 +95,8 @@ class TypeOneVerdict:
     reason: str = ""
 
 
-def _analyze_derivation(index: int, d: Mat) -> SpectralWitness:
-    p = char_poly(d)
+def _spectral_witness(index: int, p: Poly) -> SpectralWitness:
+    """The imaginary-axis test read off one characteristic polynomial."""
     coeffs = list(p.coeffs)
     e = 0
     while e < len(coeffs) and coeffs[e] == 0:
@@ -111,10 +124,7 @@ def type_one_check(h: HullData) -> TypeOneVerdict:
     """
     if not h.torus_derivations:
         return TypeOneVerdict("type_I", (), "no torus part: all adjoint spectra trivial")
-    u_abelian = all(
-        is_zero_vec(h.u.c[i][j]) for i in range(h.u.dim) for j in range(h.u.dim)
-    )
-    if not u_abelian:
+    if first_nonzero_bracket(h.u) is not None:
         return TypeOneVerdict(
             "not_certified", (),
             "unipotent part is nonabelian; the per-generator spectrum test only "
@@ -130,29 +140,15 @@ def type_one_check(h: HullData) -> TypeOneVerdict:
             return TypeOneVerdict(
                 "not_certified", (), f"torus derivation {a} is not semisimple")
 
-    witnesses = tuple(_analyze_derivation(a, d) for a, d in enumerate(h.torus_derivations))
+    witnesses = tuple(_spectral_witness(a, char_poly(d)) for a, d in enumerate(h.torus_derivations))
     if all(w.compatible for w in witnesses):
         return TypeOneVerdict("type_I", witnesses)
     return TypeOneVerdict("not_type_I", witnesses)
 
 
 def verify_type_one_witness(w: SpectralWitness) -> bool:
-    """Re-check a spectral witness from its stored polynomials."""
-    coeffs = list(w.char_poly.coeffs)
-    e = 0
-    while e < len(coeffs) and coeffs[e] == 0:
-        e += 1
-    stripped = coeffs[e:]
-    if not stripped:
-        return w.compatible
-    even = all(c == 0 for i, c in enumerate(stripped) if i % 2 == 1)
-    if not even:
-        return not w.compatible
-    reduced = squarefree_part(Poly(tuple(stripped[0::2])))
-    if reduced != w.reduced:
-        return False
-    count = sturm_real_roots_in(reduced, Interval.at_most(0))
-    return (count == reduced.degree()) == w.compatible
+    """Re-check a spectral witness by recomputing it from its polynomial."""
+    return _spectral_witness(w.index, w.char_poly) == w
 
 
 @dataclass(frozen=True)
@@ -226,169 +222,156 @@ class AnalysisReport:
     skipped: tuple[StageFailure, ...] = ()
 
 
+NOT_SOLVABLE = StageFailure("hull", "the algebra is not solvable; hull stages need solvability")
+
+
+@dataclass(frozen=True)
+class HullStage:
+    """An algebra's splittable hull, its abelianity and its split form."""
+
+    splittable: SplittableHull
+    abelianity: AbelianityVerdict
+    split_form: Optional[SplitForm]
+
+
+def hull_stage(g: LieAlgebra) -> HullStage:
+    """Build the splittable hull of a solvable algebra once and read it."""
+    hull = build_splittable_hull(g)
+    verdict = unipotent_hull_abelian(hull)
+    split = recognize_split_form(g, hull) if verdict.abelian else None
+    return HullStage(hull, verdict, split)
+
+
+@dataclass(frozen=True)
+class ModelStage:
+    """The invariant model of one input and the hull data it is built from.
+
+    hull is None when the input is user-supplied hull data.
+    """
+
+    data: HullData
+    model: InvariantComplex
+    hull: Optional[HullStage]
+
+
+def model_stage(subject: Union[LieAlgebra, HullData], finite_bound: int) -> Optional[ModelStage]:
+    """Hull, hull data and invariant model of a validated input.
+
+    Returns None for an algebra that is not solvable (NOT_SOLVABLE is
+    the reason); hull data are checked by invariant_subcomplex.
+    """
+    if isinstance(subject, HullData):
+        return ModelStage(subject, invariant_subcomplex(subject, finite_bound), None)
+    if not is_solvable(subject):
+        return None
+    stage = hull_stage(subject)
+    data = hull_action_data(stage.splittable)
+    return ModelStage(data, invariant_subcomplex(data, finite_bound), stage)
+
+
+def input_complex(stage: ModelStage, g: LieAlgebra) -> InvariantComplex:
+    """The input algebra's own CE complex as a trivial model.
+
+    Hull data are their own unipotent algebra, so the model's ambient
+    complex is reused rather than built again.
+    """
+    if stage.hull is None:
+        return full_model(stage.model.ambient)
+    return full_model_of(g)
+
+
+def lefschetz_stages(stage: Optional[ModelStage], full: Optional[InvariantComplex],
+                     omega: Optional[ExteriorForm]
+                     ) -> tuple[Optional[SymplecticCheck], Optional[LefschetzReport],
+                                tuple[StageFailure, ...]]:
+    """Symplectic check and hard Lefschetz, with every stage skipped and why.
+
+    omega is checked first on the algebra's own complex full, and on
+    the model for hull data; stage is None for an algebra that is not
+    solvable.  Every skip reason of analyze is issued here.
+    """
+    if stage is None:
+        if omega is None:
+            return None, None, (NOT_SOLVABLE,)
+        return None, None, (NOT_SOLVABLE, StageFailure("symplectic", "no model available"))
+    if omega is None:
+        return None, None, ()
+    model = stage.model
+    first = model if stage.hull is None else full
+    try:
+        symplectic = verify_symplectic(first, omega)
+    except PreconditionError as exc:
+        return None, None, (StageFailure("symplectic", str(exc)),)
+    if not symplectic.symplectic:
+        return symplectic, None, (StageFailure("lefschetz", "omega failed the symplectic check"),)
+    try:
+        on_model = symplectic if first is model else verify_symplectic(model, omega)
+        if not on_model.symplectic:
+            return symplectic, None, (StageFailure(
+                "lefschetz", "omega is not symplectic on the invariant model"),)
+        return symplectic, hard_lefschetz(model, omega, on_model), ()
+    except PreconditionError as exc:
+        return symplectic, None, (StageFailure("lefschetz", str(exc)),)
+
+
 def analyze(subject: Union[LieAlgebra, HullData],
             omega: Optional[ExteriorForm] = None,
             massey_depth: Optional[int] = None,
             finite_bound: int = DEFAULT_FINITE_BOUND) -> AnalysisReport:
     """Run the full pipeline on an algebra or on explicit hull data.
 
-    Algebra inputs go through validation, nilradical, hull construction,
-    the invariant model, formality, optional symplectic and Lefschetz
-    checks, the type-(I) test and the Kaehler conclusion.  Hull-data
-    inputs skip the hull construction and run the model stages directly.
-    Every stage failure is recorded and later dependent stages are
-    skipped; the report is always returned.
+    Algebra inputs go through validation, hull construction (nilradical,
+    nilshadow, split form), the invariant model, formality, optional
+    symplectic and Lefschetz checks, the type-(I) test and the Kaehler
+    conclusion.  Hull-data inputs are their own unipotent part and run
+    the model stages directly.  Every stage failure is recorded and later
+    dependent stages are skipped; the report is always returned.
     """
-    if isinstance(subject, HullData):
-        return _analyze_hull_data(subject, omega, massey_depth, finite_bound)
-    return _analyze_algebra(subject, omega, massey_depth, finite_bound)
-
-
-def _analyze_algebra(g: LieAlgebra, omega, massey_depth, finite_bound) -> AnalysisReport:
-    skipped: list[StageFailure] = []
+    user_hull = isinstance(subject, HullData)
+    kind = "hull_data" if user_hull else "algebra"
+    g = subject.u if user_hull else subject
     bad = validate(g)
     if bad is not None:
+        reason = "the unipotent algebra is invalid" if user_hull else "the input is not a Lie algebra"
         return AnalysisReport(
-            "algebra", g.dim, g.basis_names, bad.describe(g.basis_names),
-            skipped=(StageFailure("all", "the input is not a Lie algebra"),))
+            kind, g.dim, g.basis_names, bad.describe(g.basis_names),
+            hull_user_supplied=user_hull, skipped=(StageFailure("all", reason),))
 
-    solvable = is_solvable(g)
-    nilpotent_flag = is_nilpotent(g)
-
-    nr_dim = None
-    nr_basis: tuple[Vec, ...] = ()
-    verdict: Optional[AbelianityVerdict] = None
-    split: Optional[SplitForm] = None
-    hdata: Optional[HullData] = None
-    if solvable:
-        nr = nilradical(g)
-        nr_dim, nr_basis = nr.dim, nr.basis
-        verdict = unipotent_hull_abelian(g)
-        if verdict.abelian:
-            split = recognize_split_form(g)
-        hdata = hull_action_data(g)
-    else:
-        skipped.append(StageFailure(
-            "hull", "the algebra is not solvable; hull stages need solvability"))
-
-    full: Optional[InvariantComplex] = None
-    algebra_betti = None
-    model: Optional[InvariantComplex] = None
-    model_betti = None
-    formality: Optional[FormalityVerdict] = None
-    if hdata is not None:
-        full = full_model_of(g)
-        algebra_betti = betti_numbers(full)
-        model = invariant_subcomplex(hdata, finite_bound)
-        model_betti = betti_numbers(model)
-        formality = formality_verdict(model, massey_depth)
-
-    symplectic = None
-    lefschetz_report = None
-    if omega is not None and model is not None:
-        try:
-            symplectic = verify_symplectic(full, omega)
-        except PreconditionError as exc:
-            skipped.append(StageFailure("symplectic", str(exc)))
-        if symplectic is not None and symplectic.symplectic:
-            try:
-                model_check = verify_symplectic(model, omega)
-                if model_check.symplectic:
-                    lefschetz_report = hard_lefschetz(model, omega, model_check)
-                else:
-                    skipped.append(StageFailure(
-                        "lefschetz", "omega is not symplectic on the invariant model"))
-            except PreconditionError as exc:
-                skipped.append(StageFailure("lefschetz", str(exc)))
-        elif symplectic is not None:
-            skipped.append(StageFailure(
-                "lefschetz", "omega failed the symplectic check"))
-    elif omega is not None:
-        skipped.append(StageFailure("symplectic", "no model available"))
-
-    type_one = type_one_check(hdata) if hdata is not None else None
-    kahler = kahler_obstruction(
-        verdict.abelian if verdict is not None else None,
-        type_one if type_one is not None else TypeOneVerdict("not_certified", (), "no hull"),
-    ) if solvable else KahlerConclusion(
-        "criterion_inapplicable", (), "the algebra is not solvable")
-
-    return AnalysisReport(
-        "algebra", g.dim, g.basis_names, None,
-        solvable=solvable,
-        nilpotent=nilpotent_flag,
-        nilradical_dim=nr_dim,
-        nilradical_basis=nr_basis,
-        hull_user_supplied=False,
-        hull_torus_dim=len(hdata.torus_derivations) if hdata is not None else None,
-        hull_abelian=verdict.abelian if verdict is not None else None,
-        hull_witness=verdict.witness if verdict is not None else None,
-        split_form=split,
-        algebra_betti=algebra_betti,
-        model_dims=model.dims() if model is not None else None,
-        model_betti=model_betti,
-        formality=formality,
-        symplectic=symplectic,
-        lefschetz=lefschetz_report,
-        type_one=type_one,
-        kahler=kahler,
-        skipped=tuple(skipped),
-    )
-
-
-def _analyze_hull_data(h: HullData, omega, massey_depth, finite_bound) -> AnalysisReport:
-    skipped: list[StageFailure] = []
-    bad = validate(h.u)
-    if bad is not None:
+    stage = model_stage(subject, finite_bound)
+    if stage is None:
+        _, _, skipped = lefschetz_stages(None, None, omega)
         return AnalysisReport(
-            "hull_data", h.u.dim, h.u.basis_names, bad.describe(h.u.basis_names),
-            hull_user_supplied=True,
-            skipped=(StageFailure("all", "the unipotent algebra is invalid"),))
-    validate_hull_data(h, finite_bound)
+            kind, g.dim, g.basis_names, None, solvable=False, nilpotent=False,
+            kahler=KahlerConclusion("criterion_inapplicable", (), "the algebra is not solvable"),
+            skipped=skipped)
 
-    u_abelian = all(
-        is_zero_vec(h.u.c[i][j]) for i in range(h.u.dim) for j in range(h.u.dim))
-    nr = nilradical(h.u)
-
-    model = invariant_subcomplex(h, finite_bound)
+    model = stage.model
+    full = input_complex(stage, g)
     formality = formality_verdict(model, massey_depth)
-
-    symplectic = None
-    lefschetz_report = None
-    if omega is not None:
-        try:
-            symplectic = verify_symplectic(model, omega)
-            if symplectic.symplectic:
-                lefschetz_report = hard_lefschetz(model, omega, symplectic)
-            else:
-                skipped.append(StageFailure(
-                    "lefschetz", "omega failed the symplectic check"))
-        except PreconditionError as exc:
-            skipped.append(StageFailure("symplectic", str(exc)))
-
-    type_one = type_one_check(h)
-    kahler = kahler_obstruction(u_abelian, type_one)
-
+    symplectic, lefschetz_report, skipped = lefschetz_stages(stage, full, omega)
+    nr = stage.hull.splittable.nilradical if stage.hull is not None else nilradical(g)
+    hull_abelian = first_nonzero_bracket(stage.data.u) is None
+    type_one = type_one_check(stage.data)
     return AnalysisReport(
-        "hull_data", h.u.dim, h.u.basis_names, None,
+        kind, g.dim, g.basis_names, None,
         solvable=True,
-        nilpotent=True,
+        nilpotent=is_nilpotent(g),
         nilradical_dim=nr.dim,
         nilradical_basis=nr.basis,
-        hull_user_supplied=True,
-        hull_torus_dim=len(h.torus_derivations),
-        hull_abelian=u_abelian,
-        hull_witness=None,
-        split_form=None,
-        algebra_betti=betti_numbers(full_model_of(h.u)),
+        hull_user_supplied=user_hull,
+        hull_torus_dim=len(stage.data.torus_derivations),
+        hull_abelian=hull_abelian,
+        hull_witness=stage.hull.abelianity.witness if stage.hull is not None else None,
+        split_form=stage.hull.split_form if stage.hull is not None else None,
+        algebra_betti=betti_numbers(full),
         model_dims=model.dims(),
         model_betti=betti_numbers(model),
         formality=formality,
         symplectic=symplectic,
         lefschetz=lefschetz_report,
         type_one=type_one,
-        kahler=kahler,
-        skipped=tuple(skipped),
+        kahler=kahler_obstruction(hull_abelian, type_one),
+        skipped=skipped,
     )
 
 

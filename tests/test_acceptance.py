@@ -24,6 +24,7 @@ from solvhull.formality import (
     verify_massey_witness,
 )
 from solvhull.hull import (
+    build_splittable_hull,
     hull_action_data,
     jordan_chevalley,
     recognize_split_form,
@@ -83,10 +84,10 @@ def test_criterion_1_weight_family_golden():
     check = verify_symplectic(full_model(ce_complex(g)), omega)
     assert check.closed and check.top_power_nonzero and check.symplectic
 
-    verdict = unipotent_hull_abelian(g)
+    verdict = unipotent_hull_abelian(build_splittable_hull(g))
     assert verdict.abelian
 
-    model = invariant_subcomplex(hull_action_data(g))
+    model = invariant_subcomplex(hull_action_data(build_splittable_hull(g)))
     assert formality_verdict(model).status == "certified_formal"
 
     report = hard_lefschetz(model, omega)
@@ -129,9 +130,9 @@ def test_criterion_3_split_form_round_trip():
     positives = [algebra_of(fixture("sol")), algebra_of(fixture("complex_sol"))]
     positives += [algebra_of(fixture("almost_abelian", p)) for p in WEIGHT_GRID]
     for g in positives:
-        verdict = unipotent_hull_abelian(g)
+        verdict = unipotent_hull_abelian(build_splittable_hull(g))
         assert verdict.abelian
-        sf = recognize_split_form(g)
+        sf = recognize_split_form(g, build_splittable_hull(g))
         assert sf is not None
         assert sf.ideal == nilradical(g).basis
         for u in sf.complement:
@@ -140,12 +141,13 @@ def test_criterion_3_split_form_round_trip():
 
     for name in ("heisenberg", "filiform4"):
         g = algebra_of(fixture(name))
-        verdict = unipotent_hull_abelian(g)
+        hull = build_splittable_hull(g)
+        verdict = unipotent_hull_abelian(hull)
         assert not verdict.abelian
         i, j, bracket = verdict.witness
-        assert verdict.hull.nbar.c[i][j] == bracket
+        assert hull.nbar.c[i][j] == bracket
         assert not is_zero_vec(bracket)
-        assert recognize_split_form(g) is None
+        assert recognize_split_form(g, hull) is None
     print("ACCEPTANCE 3 PASS: split-form round trip "
           "(abelian hulls recover splittings; nilpotent controls give witnesses)")
 
@@ -214,7 +216,7 @@ def test_criterion_6_structural_invariants():
         bb = betti_numbers(cx)
         assert sum((-1) ** k * x for k, x in enumerate(bb)) == 0
         assert poincare_pairing(full_model(cx)).all_perfect
-        model = invariant_subcomplex(hull_action_data(g))
+        model = invariant_subcomplex(hull_action_data(build_splittable_hull(g)))
         assert poincare_pairing(model).all_perfect
 
         nr = nilradical(g)

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 from solvhull.cochain import ExteriorForm
 from solvhull.fixtures import fixture
-from solvhull.hull import HullData, hull_action_data
+from solvhull.hull import HullData, build_splittable_hull, hull_action_data
 from solvhull.iodoc import algebra_of, hull_data_of, omega_of
 from solvhull.linalg import Mat, Poly
 from solvhull.report import (
@@ -21,7 +21,7 @@ from conftest import almost_abelian_algebra, sl2
 
 class TestTypeOne:
     def test_sol_not_type_one(self, sol):
-        verdict = type_one_check(hull_action_data(sol))
+        verdict = type_one_check(hull_action_data(build_splittable_hull(sol)))
         assert verdict.status == "not_type_I"
         w = verdict.witnesses[0]
         assert w.char_poly == Poly.of(0, -1, 0, 1)       # t^3 - t
@@ -31,7 +31,7 @@ class TestTypeOne:
         assert verify_type_one_witness(w)
 
     def test_rotation_type_one(self, rotation):
-        verdict = type_one_check(hull_action_data(rotation))
+        verdict = type_one_check(hull_action_data(build_splittable_hull(rotation)))
         assert verdict.status == "type_I"
         w = verdict.witnesses[0]
         assert w.reduced == Poly.of(1, 1)                # u + 1, root at -1
@@ -39,18 +39,18 @@ class TestTypeOne:
         assert verify_type_one_witness(w)
 
     def test_no_derivations_trivially_type_one(self, heisenberg):
-        verdict = type_one_check(hull_action_data(heisenberg))
+        verdict = type_one_check(hull_action_data(build_splittable_hull(heisenberg)))
         assert verdict.status == "type_I"
         assert verdict.witnesses == ()
 
     def test_mixed_weights_fail(self):
         g = almost_abelian_algebra(1, 1)
-        verdict = type_one_check(hull_action_data(g))
+        verdict = type_one_check(hull_action_data(build_splittable_hull(g)))
         assert verdict.status == "not_type_I"
 
     def test_pure_rotation_family_passes(self):
         g = almost_abelian_algebra(0, 2, b=["1", "3/2"])
-        verdict = type_one_check(hull_action_data(g))
+        verdict = type_one_check(hull_action_data(build_splittable_hull(g)))
         assert verdict.status == "type_I"
 
     def test_non_commuting_not_certified(self):

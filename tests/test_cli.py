@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -288,8 +289,10 @@ class TestMainEntry:
         assert "no_obstruction" in out
 
     def test_console_script_help(self):
+        # run from the directory holding the package, so `-m` finds it
+        # whether or not PYTHONPATH names it
         proc = subprocess.run(
             [sys.executable, "-m", "solvhull", "analyze", "--fixture", "sol"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, cwd=Path(cli.__file__).parents[1])
         assert proc.returncode == 0
         assert "not_kahler" in proc.stdout

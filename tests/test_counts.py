@@ -1,0 +1,71 @@
+"""Each artifact is built once per run: call counts of the pipeline stages.
+
+The counted functions are replaced in every solvhull module that binds
+them (report, cli and formality import names directly, so patching the
+defining module alone would miss their calls).
+"""
+
+import sys
+from collections import Counter
+
+import pytest
+
+from solvhull import cli, report  # cli imports every module that binds a counted name
+from solvhull.fixtures import fixture
+from solvhull.iodoc import algebra_of, hull_data_of, omega_of
+
+COUNTED = {
+    "hull": ("build_splittable_hull", "validate_hull_data"),
+    "cochain": ("ce_complex",),
+    "formality": ("invariant_subcomplex",),
+    "report": ("analyze",),
+}
+
+
+def _counting(counts, name, fn):
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    counts = Counter()
+    modules = [m for name, m in sys.modules.items()
+               if m is not None and (name == "solvhull" or name.startswith("solvhull."))]
+    for home_name, names in COUNTED.items():
+        home = sys.modules[f"solvhull.{home_name}"]
+        for name in names:
+            original = getattr(home, name)
+            wrapper = _counting(counts, name, original)
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, wrapper)
+    return counts
+
+
+def test_algebra_analyze_builds_one_hull_and_one_model(calls):
+    doc = fixture("complex_sol")
+    report.analyze(algebra_of(doc), omega=omega_of(doc))
+    assert calls["build_splittable_hull"] == 1
+    assert calls["validate_hull_data"] == 1
+    # the algebra's own complex and the model's ambient (nilshadow) complex
+    assert calls["ce_complex"] == 2
+
+
+def test_hull_data_analyze_builds_one_complex(calls):
+    doc = fixture("twisted_kodaira_thurston")
+    report.analyze(hull_data_of(doc), omega=omega_of(doc))
+    assert calls["ce_complex"] == 1
+    assert calls["validate_hull_data"] == 1
+
+
+@pytest.mark.parametrize("command", ["invariants", "formality", "lefschetz"])
+@pytest.mark.parametrize("name", ["complex_sol", "twisted_kodaira_thurston"])
+def test_model_commands_skip_analyze(calls, command, name):
+    code, _, _ = cli.run(command, fixture(name))
+    assert code == cli.EXIT_OK
+    assert calls["analyze"] == 0
+    assert calls["invariant_subcomplex"] <= 1

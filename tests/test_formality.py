@@ -26,7 +26,12 @@ from solvhull.formality import (
     verify_formality_verdict,
     verify_massey_witness,
 )
-from solvhull.hull import HullData, enumerate_finite_group, hull_action_data
+from solvhull.hull import (
+    HullData,
+    build_splittable_hull,
+    enumerate_finite_group,
+    hull_action_data,
+)
 from solvhull.iodoc import algebra_of, hull_data_of
 from solvhull.linalg import Mat, kernel_basis, row_space_basis, unit_vec
 
@@ -47,7 +52,7 @@ class TestInvariantSubcomplex:
         assert ic.has_zero_differential()
 
     def test_sol_hull_weights(self, sol):
-        ic = invariant_subcomplex(hull_action_data(sol))
+        ic = invariant_subcomplex(hull_action_data(build_splittable_hull(sol)))
         assert ic.dims() == (1, 1, 1, 1)
         assert ic.basis_forms(1) == (ExteriorForm.monomial((0,)),)
         assert ic.basis_forms(2) == (ExteriorForm.monomial((1, 2)),)
@@ -142,7 +147,7 @@ def _intersect(rows_a, rows_b, n):
 class TestZeroDifferentialCertificate:
     def test_abelian_hull_inputs(self, abelian3, sol):
         for g in (abelian3, sol, almost_abelian_algebra(1, 1)):
-            ic = invariant_subcomplex(hull_action_data(g))
+            ic = invariant_subcomplex(hull_action_data(build_splittable_hull(g)))
             assert certify_formal_if_zero_differential(ic) is not None
 
     def test_full_heisenberg_absent(self, heisenberg):
@@ -165,7 +170,7 @@ class TestMassey:
         assert verify_massey_witness(ic, w, expect_vanishing=False)
 
     def test_zero_differential_always_vanishes(self, sol):
-        ic = invariant_subcomplex(hull_action_data(sol))
+        ic = invariant_subcomplex(hull_action_data(build_splittable_hull(sol)))
         unit_classes = [CohomologyClass(ic, 1, (F(1),))] * 3
         result = massey_triple(ic, *unit_classes)
         assert result.status == "vanishes"
@@ -199,7 +204,7 @@ class TestMassey:
 
 class TestFormalityVerdict:
     def test_sol_hull_certified(self, sol):
-        ic = invariant_subcomplex(hull_action_data(sol))
+        ic = invariant_subcomplex(hull_action_data(build_splittable_hull(sol)))
         v = formality_verdict(ic)
         assert v.status == "certified_formal"
         assert verify_formality_verdict(ic, v)
@@ -235,8 +240,8 @@ class TestFormalityVerdict:
         for params in (dict(m=1, n=0, a=["1"]), dict(m=0, n=1, b=["2"]),
                        dict(m=1, n=1), dict(m=2, n=1, a=["1", "1/2"], b=["3"])):
             g = almost_abelian_algebra(**params)
-            ic = invariant_subcomplex(hull_action_data(g))
+            ic = invariant_subcomplex(hull_action_data(build_splittable_hull(g)))
             assert formality_verdict(ic).status == "certified_formal"
         g = algebra_of(fixture("complex_sol"))
-        ic = invariant_subcomplex(hull_action_data(g))
+        ic = invariant_subcomplex(hull_action_data(build_splittable_hull(g)))
         assert formality_verdict(ic).status == "certified_formal"

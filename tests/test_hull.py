@@ -169,22 +169,23 @@ class TestSplittableHull:
 
 class TestAbelianity:
     def test_sol_true(self, sol):
-        assert unipotent_hull_abelian(sol).abelian
+        assert unipotent_hull_abelian(build_splittable_hull(sol)).abelian
 
     def test_rotation_true(self, rotation):
-        assert unipotent_hull_abelian(rotation).abelian
+        assert unipotent_hull_abelian(build_splittable_hull(rotation)).abelian
 
     def test_heisenberg_false_with_witness(self, heisenberg):
-        verdict = unipotent_hull_abelian(heisenberg)
+        hull = build_splittable_hull(heisenberg)
+        verdict = unipotent_hull_abelian(hull)
         assert not verdict.abelian
         i, j, w = verdict.witness
         assert (i, j) == (0, 1)
         assert w == unit_vec(3, 2)
         # the witness is honest: the nilshadow bracket really is nonzero
-        assert verdict.hull.nbar.c[i][j] == w
+        assert hull.nbar.c[i][j] == w
 
     def test_filiform_false(self, filiform4):
-        verdict = unipotent_hull_abelian(filiform4)
+        verdict = unipotent_hull_abelian(build_splittable_hull(filiform4))
         assert not verdict.abelian
         assert verdict.witness is not None
 
@@ -194,27 +195,27 @@ class TestAbelianity:
                 dict(m=1, n=1, a=["1/2"], b=["2/3"])]
         for params in grid:
             g = almost_abelian_algebra(**params)
-            assert unipotent_hull_abelian(g).abelian
+            assert unipotent_hull_abelian(build_splittable_hull(g)).abelian
 
 
 class TestSplitForm:
     def test_sol(self, sol):
-        sf = recognize_split_form(sol)
+        sf = recognize_split_form(sol, build_splittable_hull(sol))
         assert sf.complement == (unit_vec(3, 0),)
         assert sf.ideal == (unit_vec(3, 1), unit_vec(3, 2))
         assert sf.action == (Mat.diag([1, -1]),)
 
     def test_heisenberg_absent(self, heisenberg):
-        assert recognize_split_form(heisenberg) is None
+        assert recognize_split_form(heisenberg, build_splittable_hull(heisenberg)) is None
 
     def test_abelian(self, abelian3):
-        sf = recognize_split_form(abelian3)
+        sf = recognize_split_form(abelian3, build_splittable_hull(abelian3))
         assert sf.complement == ()
         assert len(sf.ideal) == 3
 
     def test_almost_abelian(self):
         g = almost_abelian_algebra(1, 1)
-        sf = recognize_split_form(g)
+        sf = recognize_split_form(g, build_splittable_hull(g))
         assert sf.complement == (unit_vec(6, 0),)
         assert len(sf.ideal) == 5
 
@@ -222,9 +223,9 @@ class TestSplitForm:
         rng = random.Random(26)
         for _ in range(6):
             g = random_split_solvable(rng)
-            verdict = unipotent_hull_abelian(g)
+            verdict = unipotent_hull_abelian(build_splittable_hull(g))
             assert verdict.abelian
-            sf = recognize_split_form(g)
+            sf = recognize_split_form(g, build_splittable_hull(g))
             nr = nilradical(g)
             assert sf.ideal == nr.basis
             # direct sum decomposition
@@ -248,18 +249,18 @@ class TestSplitForm:
 
 class TestHullData:
     def test_sol_action_data(self, sol):
-        h = hull_action_data(sol)
+        h = hull_action_data(build_splittable_hull(sol))
         assert h.torus_derivations == (Mat.diag([0, 1, -1]),)
         assert h.finite_generators == ()
         assert all(is_zero_vec(h.u.c[i][j]) for i in range(3) for j in range(3))
 
     def test_abelian_no_derivations(self, abelian3):
-        h = hull_action_data(abelian3)
+        h = hull_action_data(build_splittable_hull(abelian3))
         assert h.torus_derivations == ()
 
     def test_almost_abelian_block_derivation(self):
         g = almost_abelian_algebra(1, 1)
-        h = hull_action_data(g)
+        h = hull_action_data(build_splittable_hull(g))
         assert len(h.torus_derivations) == 1
         d = h.torus_derivations[0]
         expected = Mat([

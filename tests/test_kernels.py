@@ -28,7 +28,7 @@ from solvhull.formality import (
     invariant_subcomplex,
     pullback_matrix,
 )
-from solvhull.hull import hull_action_data
+from solvhull.hull import build_splittable_hull, hull_action_data
 from solvhull.iodoc import algebra_of, hull_data_of, omega_of
 from solvhull.lie import ad_matrix, nilradical
 from solvhull.linalg import (
@@ -156,7 +156,8 @@ class TestRref:
 
 def _models():
     for name in ("complex_sol", "almost_abelian", "sol"):
-        yield name, invariant_subcomplex(hull_action_data(algebra_of(fixture(name))))
+        hull = build_splittable_hull(algebra_of(fixture(name)))
+        yield name, invariant_subcomplex(hull_action_data(hull))
     for name in ("twisted_heisenberg", "twisted_kodaira_thurston"):
         yield name, invariant_subcomplex(hull_data_of(fixture(name)))
     yield "full heisenberg", full_model(ce_complex(algebra_of(fixture("heisenberg"))))

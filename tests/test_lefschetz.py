@@ -8,7 +8,7 @@ from solvhull.cochain import ExteriorForm, ce_complex, cohomology, wedge_power
 from solvhull.errors import PreconditionError
 from solvhull.fixtures import fixture
 from solvhull.formality import full_model, invariant_subcomplex
-from solvhull.hull import hull_action_data
+from solvhull.hull import build_splittable_hull, hull_action_data
 from solvhull.iodoc import algebra_of, hull_data_of, omega_of
 from solvhull.lefschetz import (
     hard_lefschetz,
@@ -75,7 +75,7 @@ class TestHardLefschetz:
         doc = fixture("almost_abelian")
         g = algebra_of(doc)
         om = omega_of(doc)
-        ic = invariant_subcomplex(hull_action_data(g))
+        ic = invariant_subcomplex(hull_action_data(build_splittable_hull(g)))
         report = hard_lefschetz(ic, om)
         assert report.holds
         assert all(d.iso for d in report.degrees)
@@ -140,7 +140,8 @@ class TestPoincarePairing:
                      "kodaira_thurston", "complex_sol"):
             g = algebra_of(fixture(name))
             assert poincare_pairing(full_model(ce_complex(g))).all_perfect
-            assert poincare_pairing(invariant_subcomplex(hull_action_data(g))).all_perfect
+            model = invariant_subcomplex(hull_action_data(build_splittable_hull(g)))
+            assert poincare_pairing(model).all_perfect
         for name in ("twisted_heisenberg", "twisted_kodaira_thurston"):
             ic = invariant_subcomplex(hull_data_of(fixture(name)))
             assert poincare_pairing(ic).all_perfect

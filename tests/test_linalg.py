@@ -24,6 +24,18 @@ from solvhull.linalg import (
 from conftest import random_matrix, random_vector
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("cols", [[(F(1),), (F(1), F(2))], [(F(1), F(2)), (F(1),)]],
+                             ids=["long-last", "short-last"])
+    def test_from_cols_rejects_ragged_columns(self, cols):
+        with pytest.raises(ValueError, match="ragged columns"):
+            Mat.from_cols(cols)
+
+    def test_from_cols_rejects_wrong_row_count(self):
+        with pytest.raises(ValueError, match="row count mismatch"):
+            Mat.from_cols([(F(1), F(2))], rows=3)
+
+
 class TestKernelRankSolve:
     def test_kernel_rank_one_projection(self):
         assert kernel_basis(Mat([[1, 0], [0, 0]])) == [(F(0), F(1))]
