@@ -27,7 +27,6 @@ from .formality import (
     MasseyWitness,
     certify_formal_if_zero_differential,
     formality_verdict,
-    full_model,
     invariant_subcomplex,
     massey_triple,
     verify_formality_verdict,
@@ -55,7 +54,6 @@ from .lefschetz import (
     SymplecticCheck,
     hard_lefschetz,
     poincare_pairing,
-    search_symplectic_form,
     verify_symplectic,
 )
 from .lie import (

@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from typing import Any, Optional, Sequence
 
-from .cochain import ExteriorForm, betti_numbers, cohomology
+from .cochain import ExteriorForm, betti_numbers, ce_complex, cohomology
 from .errors import InternalCheckError, PreconditionError, SolvhullError, StructureError
 from .fixtures import fixture
 from .formality import FormalityVerdict, MasseyWitness, formality_verdict
@@ -41,7 +41,6 @@ from .report import (
     SpectralWitness,
     TypeOneVerdict,
     analyze,
-    full_model_of,
     hull_stage,
     input_complex,
     lefschetz_stages,
@@ -408,13 +407,13 @@ def run(command: str, doc: InputDocument,
             return EXIT_OK, payload, lines
 
         if command == "cohomology":
-            model = full_model_of(g)
-            betti = betti_numbers(model)
+            cx = ce_complex(g)
+            bases = [cohomology(cx, k) for k in range(cx.dim + 1)]
+            betti = [basis.betti for basis in bases]
             degrees = []
             lines = ["betti: " + " ".join(map(str, betti))]
-            for k in range(model.dim + 1):
-                basis = cohomology(model, k)
-                reps = [model.form(k, rep) for rep in basis.reps]
+            for k, basis in enumerate(bases):
+                reps = basis.rep_forms()
                 degrees.append({
                     "degree": k,
                     "betti": basis.betti,
@@ -422,7 +421,7 @@ def run(command: str, doc: InputDocument,
                 })
                 pretty = ", ".join(format_form(f, names) for f in reps) or "-"
                 lines.append(f"H^{k}: dim {basis.betti}  [{pretty}]")
-            return EXIT_OK, {"betti": list(betti), "degrees": degrees}, lines
+            return EXIT_OK, {"betti": betti, "degrees": degrees}, lines
 
         subject = hull_data_of(doc) if doc.hull_override is not None else g
         omega = omega_of(doc)

@@ -37,12 +37,11 @@ from .linalg import (
     Mat,
     Scalar,
     Vec,
-    in_row_space,
     int_terms,
     is_zero_vec,
     kernel_basis,
     qq,
-    row_space_basis,
+    rank,
     rref,
     unit_vec,
 )
@@ -186,7 +185,11 @@ def wedge_power(a: ExteriorForm, k: int) -> ExteriorForm:
 
 
 class ComplexLike(Protocol):
-    """What cohomology and cup products need from a cochain complex."""
+    """What cohomology, cup products and the certificates read from a complex.
+
+    CochainComplex and the invariant models implement it, and inherit
+    dims() and has_zero_differential() from it.
+    """
 
     dim: int
 
@@ -196,10 +199,20 @@ class ComplexLike(Protocol):
 
     def form(self, k: int, coords: Vec) -> ExteriorForm: ...
 
+    def restrict_form(self, form: ExteriorForm) -> Optional[Vec]:
+        """Coordinates of a form in this complex, or None if it lies outside."""
+        ...
+
     def wedge_coords(self, p: int, u: Vec, q: int, v: Vec) -> Vec: ...
 
+    def dims(self) -> tuple[int, ...]:
+        return tuple(self.space_dim(k) for k in range(self.dim + 1))
 
-class CochainComplex:
+    def has_zero_differential(self) -> bool:
+        return all(self.dmat(k).is_zero() for k in range(self.dim + 1))
+
+
+class CochainComplex(ComplexLike):
     """Full Chevalley-Eilenberg complex of a Lie algebra.
 
     Bases are lexicographic index subsets per degree; the differentials
@@ -244,6 +257,9 @@ class CochainComplex:
     def form(self, k: int, coords: Vec) -> ExteriorForm:
         basis = self.basis(k)
         return ExteriorForm.make(k, {idx: c for idx, c in zip(basis, coords) if c != 0})
+
+    def restrict_form(self, form: ExteriorForm) -> Vec:
+        return self.coords(form)
 
     def d_form(self, form: ExteriorForm) -> ExteriorForm:
         k = form.degree
@@ -496,8 +512,11 @@ class CohomologyBasis:
 def cohomology(cx: ComplexLike, k: int) -> CohomologyBasis:
     """Kernel-modulo-image basis in degree k, deterministically chosen.
 
-    Representatives are the kernel basis vectors that are independent
-    modulo the image of the previous differential, scanned in order.
+    Representatives are the kernel basis vectors, scanned in order, that
+    are independent modulo the image of the previous differential and the
+    representatives before them.  These are the pivot columns of
+    [d_(k-1) | cocycles] that fall among the cocycles, so one elimination
+    per degree finds them all.
     A complex's ``_coh_cache`` keeps the representatives only: a cached
     CohomologyBasis would point back at the complex and form a cycle.
     """
@@ -506,24 +525,22 @@ def cohomology(cx: ComplexLike, k: int) -> CohomologyBasis:
         return CohomologyBasis(cx, k, cache[k])
     nk = cx.space_dim(k)
     cocycles = kernel_basis(cx.dmat(k)) if nk else []
-    if k >= 1 and cx.space_dim(k - 1):
+    image: list[Vec] = []
+    if k >= 1:
         prev = cx.dmat(k - 1)
-        image = row_space_basis([prev.col(j) for j in range(prev.cols)], nk)
-    else:
-        image = []
-    reps: list[Vec] = []
-    span = list(image)  # kept in reduced echelon form
-    for z in cocycles:
-        if not in_row_space(span, z):
-            reps.append(z)
-            span = row_space_basis(span + [z], nk)
+        image = [prev.col(j) for j in range(prev.cols)]
+    pivots = rref(Mat.from_cols(image + cocycles, rows=nk))[1] if cocycles else ()
+    reps = tuple(cocycles[p - len(image)] for p in pivots if p >= len(image))
     if cache is not None:
-        cache[k] = tuple(reps)
-    return CohomologyBasis(cx, k, tuple(reps))
+        cache[k] = reps
+    return CohomologyBasis(cx, k, reps)
 
 
 def betti_numbers(cx: ComplexLike) -> tuple[int, ...]:
-    return tuple(cohomology(cx, k).betti for k in range(cx.dim + 1))
+    """b_k = dim C^k - rank d_k - rank d_(k-1), with no representatives."""
+    ranks = [rank(cx.dmat(k)) for k in range(cx.dim + 1)]
+    return tuple(cx.space_dim(k) - ranks[k] - (ranks[k - 1] if k else 0)
+                 for k in range(cx.dim + 1))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ a subcomplex closed under wedge before any verdict is issued.
 Formality itself is certified only through the sound route: a vanishing
 restricted differential.  Obstructions come from triple Massey products;
 absence of low-degree obstructions yields the honest answer "undecided".
+The certificates read any ComplexLike: the pipeline hands them the
+invariant model, and a CochainComplex is checked the same way.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .cochain import (
     Chart,
     CochainComplex,
     CohomologyClass,
+    ComplexLike,
     ExteriorForm,
     SparseForm,
     ce_complex,
@@ -77,13 +80,13 @@ def torus_invariant_basis(cx: CochainComplex, derivations: Sequence[Mat], k: int
     return kernel_basis(Mat.from_rows(rows, cols=nk))
 
 
-class InvariantComplex:
+class InvariantComplex(ComplexLike):
     """Subcomplex of a cochain complex cut out by reductive invariance.
 
     Carries per-degree sub-bases in ambient coordinates, the restricted
     differential, and a wedge that projects back to sub-coordinates.
-    Implements the same surface as CochainComplex, so cohomology, cup
-    products and all downstream checks run on it unchanged.
+    Implements ComplexLike like CochainComplex, so cohomology, cup
+    products and all downstream checks run on either.
 
     Each degree has a Chart of its sub-basis: sub-coordinates are read
     off where the sub-basis is invertible and confirmed by lifting back,
@@ -113,9 +116,6 @@ class InvariantComplex:
 
     def space_dim(self, k: int) -> int:
         return len(self.sub_basis(k))
-
-    def dims(self) -> tuple[int, ...]:
-        return tuple(self.space_dim(k) for k in range(self.dim + 1))
 
     def dmat(self, k: int) -> Mat:
         if not 0 <= k <= self.dim:
@@ -178,17 +178,6 @@ class InvariantComplex:
                     for b in forms[q][i if p == q else 0:]:
                         self._restricted_product(a, b, p + q)
 
-    def has_zero_differential(self) -> bool:
-        return all(self.dmat(k).is_zero() for k in range(self.dim + 1))
-
-
-def full_model(cx: CochainComplex) -> InvariantComplex:
-    """The whole complex viewed as a (trivially) invariant model."""
-    n = cx.dim
-    sub = [tuple(unit_vec(cx.space_dim(k), i) for i in range(cx.space_dim(k)))
-           for k in range(n + 1)]
-    return InvariantComplex(cx, sub, [cx.dmat(k) for k in range(n + 1)])
-
 
 def invariant_subcomplex(h: HullData, finite_bound: int = DEFAULT_FINITE_BOUND) -> InvariantComplex:
     """Forms fixed by the torus derivations and the finite group.
@@ -238,7 +227,7 @@ class ZeroDifferentialCertificate:
     dims: tuple[int, ...]
 
 
-def certify_formal_if_zero_differential(ic: InvariantComplex) -> Optional[ZeroDifferentialCertificate]:
+def certify_formal_if_zero_differential(ic: ComplexLike) -> Optional[ZeroDifferentialCertificate]:
     if ic.has_zero_differential():
         return ZeroDifferentialCertificate(ic.dims())
     return None
@@ -270,7 +259,7 @@ class MasseyResult:
         return self.status == "vanishes"
 
 
-def massey_triple(ic: InvariantComplex, a: CohomologyClass, b: CohomologyClass,
+def massey_triple(ic: ComplexLike, a: CohomologyClass, b: CohomologyClass,
                   c: CohomologyClass) -> MasseyResult:
     """Triple Massey product <a, b, c> with explicit primitives.
 
@@ -319,7 +308,7 @@ def massey_triple(ic: InvariantComplex, a: CohomologyClass, b: CohomologyClass,
     return MasseyResult("nonvanishing", witness)
 
 
-def _cup(ic: InvariantComplex, a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
+def _cup(ic: ComplexLike, a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
     """cup(ic, a, b), remembered in the complex by degrees and coefficients.
 
     The memo holds coefficient tuples only, never classes that point
@@ -335,7 +324,7 @@ def _cup(ic: InvariantComplex, a: CohomologyClass, b: CohomologyClass) -> Cohomo
     return CohomologyClass(ic, a.degree + b.degree, coeffs)
 
 
-def _basis_classes(ic: InvariantComplex, k: int) -> list[CohomologyClass]:
+def _basis_classes(ic: ComplexLike, k: int) -> list[CohomologyClass]:
     if k < 0 or k > ic.dim:
         return []
     basis = cohomology(ic, k)
@@ -350,7 +339,7 @@ def _in_coeff_span(vectors: Sequence[Vec], v: Vec) -> bool:
     return solve(Mat.from_cols(list(vectors), rows=len(v)), v) is not None
 
 
-def verify_massey_witness(ic: InvariantComplex, w: MasseyWitness, expect_vanishing: bool) -> bool:
+def verify_massey_witness(ic: ComplexLike, w: MasseyWitness, expect_vanishing: bool) -> bool:
     """Independent re-check of a Massey witness from its raw data."""
     p, q, s = w.degrees
     a = CohomologyClass(ic, p, w.a)
@@ -399,7 +388,7 @@ def _scan_degrees(dim: int, cap: int) -> list[tuple[int, int, int]]:
     return sorted(degrees)
 
 
-def formality_verdict(ic: InvariantComplex, massey_depth: Optional[int] = None) -> FormalityVerdict:
+def formality_verdict(ic: ComplexLike, massey_depth: Optional[int] = None) -> FormalityVerdict:
     """Certified formality via d = 0, else a Massey obstruction scan.
 
     The scan covers all triples of cohomology basis classes whose degree
@@ -430,7 +419,7 @@ def formality_verdict(ic: InvariantComplex, massey_depth: Optional[int] = None) 
     return FormalityVerdict("undecided", triples_scanned=scanned)
 
 
-def verify_formality_verdict(ic: InvariantComplex, verdict: FormalityVerdict) -> bool:
+def verify_formality_verdict(ic: ComplexLike, verdict: FormalityVerdict) -> bool:
     """Re-check a verdict's certificate independently of how it was produced."""
     if verdict.status == "certified_formal":
         return ic.has_zero_differential() and verdict.certificate is not None \

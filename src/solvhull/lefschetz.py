@@ -5,19 +5,19 @@ computed as exact rank problems on the model's cohomology.  On models
 with vanishing differential the direct rank computation is cross-checked
 against the classical argument (injectivity of the wedge map on
 invariant forms plus equality of paired Betti numbers); the two routes
-must agree or the check aborts.
+must agree or the check aborts.  Every check takes a ComplexLike: the
+pipeline checks omega on the input algebra's own complex and on the
+invariant model.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .cochain import ExteriorForm, cohomology, wedge_power
+from .cochain import ComplexLike, ExteriorForm, cohomology, wedge_power
 from .errors import InternalCheckError, PreconditionError
-from .formality import InvariantComplex
 from .linalg import Mat, is_zero_vec, rank, unit_vec
 
 
@@ -35,7 +35,7 @@ class SymplecticCheck:
         return self.closed and self.top_power_nonzero
 
 
-def verify_symplectic(ic: InvariantComplex, omega: ExteriorForm) -> SymplecticCheck:
+def verify_symplectic(ic: ComplexLike, omega: ExteriorForm) -> SymplecticCheck:
     """Check d(omega) = 0 and omega^n != 0 on a 2n-dimensional model."""
     if ic.dim % 2 != 0:
         raise PreconditionError("symplectic checks need an even-dimensional model")
@@ -69,7 +69,7 @@ class LefschetzReport:
     cross_checked: bool
 
 
-def hard_lefschetz(ic: InvariantComplex, omega: ExteriorForm,
+def hard_lefschetz(ic: ComplexLike, omega: ExteriorForm,
                    check: Optional[SymplecticCheck] = None) -> LefschetzReport:
     """Test whether cup with [omega^(n-i)] is an isomorphism for all i <= n.
 
@@ -136,7 +136,7 @@ class PairingReport:
     note: str = ""
 
 
-def poincare_pairing(ic: InvariantComplex) -> PairingReport:
+def poincare_pairing(ic: ComplexLike) -> PairingReport:
     """Cup pairings H^k x H^(dim-k) -> H^dim with perfectness flags.
 
     When the top cohomology is not one-dimensional the pairing has no
@@ -166,30 +166,3 @@ def poincare_pairing(ic: InvariantComplex) -> PairingReport:
         f"top cohomology has dimension {top.betti}, pairing values are "
         "first-coordinate projections only")
     return PairingReport(top.betti, tuple(degrees), all_perfect, note)
-
-
-def search_symplectic_form(ic: InvariantComplex, attempts: int = 200,
-                           height: int = 3, seed: int = 0) -> Optional[ExteriorForm]:
-    """Randomized search for a symplectic cocycle in the model.
-
-    Heuristic only: failure to find one proves nothing, and verdicts must
-    never depend on this helper.  Coefficients are sampled from
-    [-height, height]; every candidate is verified exactly before being
-    returned.
-    """
-    if ic.dim % 2 != 0 or ic.space_dim(2) == 0:
-        return None
-    rng = random.Random(seed)
-    basis2 = ic.basis_forms(2)
-    for _ in range(attempts):
-        candidate = ExteriorForm.zero(2)
-        for b in basis2:
-            coeff = rng.randint(-height, height)
-            if coeff:
-                candidate = candidate + b.scale(coeff)
-        if candidate.is_zero():
-            continue
-        check = verify_symplectic(ic, candidate)
-        if check.symplectic:
-            return candidate
-    return None

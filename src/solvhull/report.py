@@ -16,9 +16,10 @@ surfaced verbatim; the algebra layer cannot check it.
 The pipeline is a chain of stages, each artifact built once and passed
 on: hull_stage (the splittable hull, its abelianity and split form),
 model_stage (the hull data and the invariant model), input_complex (the
-input algebra's own complex) and lefschetz_stages (the symplectic check
-and hard Lefschetz).  analyze composes all of them; the CLI's model
-commands call only the stages they report on.
+input algebra's own CochainComplex, whose Betti numbers are read off
+ranks) and lefschetz_stages (the symplectic check and hard Lefschetz).
+analyze composes all of them; the CLI's model commands call only the
+stages they report on.
 """
 
 from __future__ import annotations
@@ -26,13 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .cochain import ExteriorForm, betti_numbers, ce_complex
+from .cochain import CochainComplex, ExteriorForm, betti_numbers, ce_complex
 from .errors import PreconditionError
 from .formality import (
     FormalityVerdict,
     InvariantComplex,
     formality_verdict,
-    full_model,
     invariant_subcomplex,
 )
 from .hull import (
@@ -269,18 +269,16 @@ def model_stage(subject: Union[LieAlgebra, HullData], finite_bound: int) -> Opti
     return ModelStage(data, invariant_subcomplex(data, finite_bound), stage)
 
 
-def input_complex(stage: ModelStage, g: LieAlgebra) -> InvariantComplex:
-    """The input algebra's own CE complex as a trivial model.
+def input_complex(stage: ModelStage, g: LieAlgebra) -> CochainComplex:
+    """The input algebra's own CE complex.
 
     Hull data are their own unipotent algebra, so the model's ambient
     complex is reused rather than built again.
     """
-    if stage.hull is None:
-        return full_model(stage.model.ambient)
-    return full_model_of(g)
+    return stage.model.ambient if stage.hull is None else ce_complex(g)
 
 
-def lefschetz_stages(stage: Optional[ModelStage], full: Optional[InvariantComplex],
+def lefschetz_stages(stage: Optional[ModelStage], full: Optional[CochainComplex],
                      omega: Optional[ExteriorForm]
                      ) -> tuple[Optional[SymplecticCheck], Optional[LefschetzReport],
                                 tuple[StageFailure, ...]]:
@@ -373,8 +371,3 @@ def analyze(subject: Union[LieAlgebra, HullData],
         kahler=kahler_obstruction(hull_abelian, type_one),
         skipped=skipped,
     )
-
-
-def full_model_of(g: LieAlgebra) -> InvariantComplex:
-    """Full cochain complex of g wrapped as a trivial invariant model."""
-    return full_model(ce_complex(g))

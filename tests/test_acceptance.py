@@ -19,7 +19,6 @@ from solvhull.cochain import (
 from solvhull.fixtures import fixture
 from solvhull.formality import (
     formality_verdict,
-    full_model,
     invariant_subcomplex,
     verify_massey_witness,
 )
@@ -81,7 +80,7 @@ def test_criterion_1_weight_family_golden():
 
     omega = omega_of(doc)
     assert omega == ExteriorForm.make(2, {(tau, sigma): F(1), (x, y): F(1), (z, w): F(1)})
-    check = verify_symplectic(full_model(ce_complex(g)), omega)
+    check = verify_symplectic(ce_complex(g), omega)
     assert check.closed and check.top_power_nonzero and check.symplectic
 
     verdict = unipotent_hull_abelian(build_splittable_hull(g))
@@ -156,7 +155,7 @@ def test_criterion_4_nonformal_with_formal_finite_extension():
     """The nilpotent model is obstructed by an explicit Massey triple while
     its twisted extension is certified formal."""
     heis = algebra_of(fixture("heisenberg"))
-    ic = full_model(ce_complex(heis))
+    ic = ce_complex(heis)
     verdict = formality_verdict(ic)
     assert verdict.status == "obstructed_nonformal"
     w = verdict.witness
@@ -215,7 +214,7 @@ def test_criterion_6_structural_invariants():
                 wedge(cx.d_form(a), b) + wedge(a, cx.d_form(b)).scale((-1) ** p)
         bb = betti_numbers(cx)
         assert sum((-1) ** k * x for k, x in enumerate(bb)) == 0
-        assert poincare_pairing(full_model(cx)).all_perfect
+        assert poincare_pairing(cx).all_perfect
         model = invariant_subcomplex(hull_action_data(build_splittable_hull(g)))
         assert poincare_pairing(model).all_perfect
 
@@ -262,7 +261,7 @@ def test_criterion_8_negative_control():
     doc = fixture("kodaira_thurston")
     g = algebra_of(doc)
     omega = omega_of(doc)
-    ic = full_model(ce_complex(g))
+    ic = ce_complex(g)
     check = verify_symplectic(ic, omega)
     assert check.symplectic
     report = hard_lefschetz(ic, omega, check)

@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from solvhull import cli, report  # cli imports every module that binds a counted name
+from solvhull import cli, formality, report  # cli imports every module that binds a counted name
 from solvhull.fixtures import fixture
 from solvhull.iodoc import algebra_of, hull_data_of, omega_of
 
@@ -60,6 +60,21 @@ def test_hull_data_analyze_builds_one_complex(calls):
     report.analyze(hull_data_of(doc), omega=omega_of(doc))
     assert calls["ce_complex"] == 1
     assert calls["validate_hull_data"] == 1
+
+
+@pytest.mark.parametrize("name", ["complex_sol", "heisenberg"])
+def test_analyze_builds_one_invariant_complex(monkeypatch, name):
+    built = []
+    original = formality.InvariantComplex.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(formality.InvariantComplex, "__init__", counted)
+    doc = fixture(name)
+    report.analyze(algebra_of(doc), omega=omega_of(doc))
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("command", ["invariants", "formality", "lefschetz"])

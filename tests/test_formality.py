@@ -19,7 +19,6 @@ from solvhull.formality import (
     certify_formal_if_zero_differential,
     derivation_extension_matrix,
     formality_verdict,
-    full_model,
     invariant_subcomplex,
     massey_triple,
     torus_invariant_basis,
@@ -60,7 +59,7 @@ class TestInvariantSubcomplex:
     def test_no_action_gives_full_complex(self, heisenberg):
         ic = invariant_subcomplex(HullData(heisenberg, (), ()))
         assert ic.dims() == (1, 3, 3, 1)
-        full = full_model(ce_complex(heisenberg))
+        full = ce_complex(heisenberg)
         assert full.dims() == ic.dims()
         for k in range(4):
             assert ic.dmat(k) == full.dmat(k)
@@ -151,13 +150,13 @@ class TestZeroDifferentialCertificate:
             assert certify_formal_if_zero_differential(ic) is not None
 
     def test_full_heisenberg_absent(self, heisenberg):
-        ic = full_model(ce_complex(heisenberg))
+        ic = ce_complex(heisenberg)
         assert certify_formal_if_zero_differential(ic) is None
 
 
 class TestMassey:
     def test_heisenberg_witness(self, heisenberg):
-        ic = full_model(ce_complex(heisenberg))
+        ic = ce_complex(heisenberg)
         a = CohomologyClass(ic, 1, (F(1), F(0)))
         c = CohomologyClass(ic, 1, (F(0), F(1)))
         result = massey_triple(ic, a, a, c)
@@ -179,7 +178,7 @@ class TestMassey:
 
     def test_precondition_violation_reported(self):
         g = algebra_of(fixture("abelian", {"n": 4}))
-        ic = full_model(ce_complex(g))
+        ic = ce_complex(g)
         h1 = cohomology(ic, 1)
         cls = [CohomologyClass(ic, 1, unit_vec(h1.betti, i)) for i in range(3)]
         result = massey_triple(ic, cls[0], cls[1], cls[2])
@@ -189,7 +188,7 @@ class TestMassey:
         # replacing representatives by cohomologous cocycles cannot change
         # the verdict; classes are coordinates in H so we perturb by
         # changing the scan basis classes with exact forms via cup inputs
-        ic = full_model(ce_complex(heisenberg))
+        ic = ce_complex(heisenberg)
         a = CohomologyClass(ic, 1, (F(1), F(0)))
         c = CohomologyClass(ic, 1, (F(0), F(1)))
         base = massey_triple(ic, a, a, c)
@@ -210,7 +209,7 @@ class TestFormalityVerdict:
         assert verify_formality_verdict(ic, v)
 
     def test_heisenberg_full_obstructed(self, heisenberg):
-        ic = full_model(ce_complex(heisenberg))
+        ic = ce_complex(heisenberg)
         v = formality_verdict(ic)
         assert v.status == "obstructed_nonformal"
         assert v.witness.degrees == (1, 1, 1)
@@ -223,14 +222,14 @@ class TestFormalityVerdict:
         assert verify_formality_verdict(ic, v)
 
     def test_filiform_obstructed(self, filiform4):
-        ic = full_model(ce_complex(filiform4))
+        ic = ce_complex(filiform4)
         v = formality_verdict(ic)
         assert v.status == "obstructed_nonformal"
         assert verify_formality_verdict(ic, v)
 
     def test_sol_full_complex_undecided(self, sol):
         # d != 0 and no low-degree Massey obstruction: the honest answer
-        ic = full_model(ce_complex(sol))
+        ic = ce_complex(sol)
         v = formality_verdict(ic)
         assert v.status == "undecided"
         assert v.triples_scanned > 0

@@ -3,7 +3,8 @@
 Mat @ and rref work on integer numerators and skip zeros; the invariant
 model reads coordinates from a chart instead of solving; the nilradical
 takes traces without forming products; the wedge product works on
-coordinate bitmasks; cohomology projections read a cached chart.  Each
+coordinate bitmasks; cohomology representatives come from one
+elimination per degree and projections read a cached chart.  Each
 is compared here with the plain computation it replaced, on random
 sparse and dense inputs.
 """
@@ -17,14 +18,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solvhull import report
-from solvhull.cochain import CohomologyClass, ExteriorForm, ce_complex, cohomology, cup, wedge
+from solvhull.cochain import (
+    CohomologyClass,
+    ExteriorForm,
+    betti_numbers,
+    ce_complex,
+    cohomology,
+    cup,
+    wedge,
+)
 from solvhull.errors import InternalCheckError, PreconditionError
 from solvhull.fixtures import fixture
 from solvhull.formality import (
     InvariantComplex,
     derivation_extension_matrix,
     formality_verdict,
-    full_model,
     invariant_subcomplex,
     pullback_matrix,
 )
@@ -33,6 +41,7 @@ from solvhull.iodoc import algebra_of, hull_data_of, omega_of
 from solvhull.lie import ad_matrix, nilradical
 from solvhull.linalg import (
     Mat,
+    in_row_space,
     kernel_basis,
     rank,
     reduce_against,
@@ -160,7 +169,6 @@ def _models():
         yield name, invariant_subcomplex(hull_action_data(hull))
     for name in ("twisted_heisenberg", "twisted_kodaira_thurston"):
         yield name, invariant_subcomplex(hull_data_of(fixture(name)))
-    yield "full heisenberg", full_model(ce_complex(algebra_of(fixture("heisenberg"))))
 
 
 MODELS = dict(_models())
@@ -252,11 +260,6 @@ def test_analyze_leaves_no_reference_cycles(name):
         assert gc.collect() == 0
     finally:
         gc.enable()
-
-
-def test_full_model_is_built_per_call():
-    g = algebra_of(fixture("heisenberg"))
-    assert report.full_model_of(g) is not report.full_model_of(g)
 
 
 def test_lefschetz_stage_does_not_swallow_internal_errors(monkeypatch):
@@ -395,8 +398,42 @@ class TestCoordinateWedge:
 
 
 # ---------------------------------------------------------------------------
-# chart-based cohomology projections, the cup memo and the closure check
+# cohomology representatives, chart-based cohomology projections, the cup
+# memo and the closure check
 # ---------------------------------------------------------------------------
+
+def greedy_reps(cx, k):
+    """cohomology()'s representatives as the scan it replaced.
+
+    Each cocycle of the kernel basis, in order, is kept when it is outside
+    the echelon span of the image and of the cocycles kept before it.
+    """
+    nk = cx.space_dim(k)
+    cocycles = kernel_basis(cx.dmat(k)) if nk else []
+    span = []
+    if k >= 1 and cx.space_dim(k - 1):
+        prev = cx.dmat(k - 1)
+        span = row_space_basis([prev.col(j) for j in range(prev.cols)], nk)
+    reps = []
+    for z in cocycles:
+        if not in_row_space(span, z):
+            reps.append(z)
+            span = row_space_basis(span + [z], nk)
+    return tuple(reps)
+
+
+@settings(max_examples=30, deadline=None)
+@given(algebras)
+def test_cohomology_matches_greedy_scan_and_ranks(g):
+    cx = ce_complex(g)
+    model = invariant_subcomplex(hull_action_data(build_splittable_hull(g)))
+    for c in (cx, model):
+        betti = betti_numbers(c)
+        for k in range(c.dim + 1):
+            reps = cohomology(c, k).reps
+            assert reps == greedy_reps(c, k)
+            assert betti[k] == len(reps)
+
 
 def solve_reference(basis, v):
     """express() as the single solve it replaced."""
@@ -465,7 +502,7 @@ class TestExpress:
 
 @pytest.mark.parametrize("name", ["heisenberg", "filiform4", "kodaira_thurston"])
 def test_cup_memo_matches_fresh_cup_products(name):
-    ic = full_model(ce_complex(algebra_of(fixture(name))))
+    ic = invariant_subcomplex(hull_action_data(build_splittable_hull(algebra_of(fixture(name)))))
     formality_verdict(ic)
     assert ic._cup_memo
     for (p, a, q, b), coeffs in ic._cup_memo.items():

@@ -7,13 +7,12 @@ import pytest
 from solvhull.cochain import ExteriorForm, ce_complex, cohomology, wedge_power
 from solvhull.errors import PreconditionError
 from solvhull.fixtures import fixture
-from solvhull.formality import full_model, invariant_subcomplex
+from solvhull.formality import invariant_subcomplex
 from solvhull.hull import build_splittable_hull, hull_action_data
 from solvhull.iodoc import algebra_of, hull_data_of, omega_of
 from solvhull.lefschetz import (
     hard_lefschetz,
     poincare_pairing,
-    search_symplectic_form,
     verify_symplectic,
 )
 from solvhull.linalg import Mat
@@ -35,7 +34,7 @@ class TestVerifySymplectic:
         doc = fixture("almost_abelian")
         g = algebra_of(doc)
         om = omega_of(doc)
-        check = verify_symplectic(full_model(ce_complex(g)), om)
+        check = verify_symplectic(ce_complex(g), om)
         assert check.symplectic
         assert not wedge_power(om, 3).is_zero()
 
@@ -47,7 +46,7 @@ class TestVerifySymplectic:
         assert not check.symplectic
 
     def test_odd_dimension_rejected(self, sol):
-        ic = full_model(ce_complex(sol))
+        ic = ce_complex(sol)
         with pytest.raises(PreconditionError):
             verify_symplectic(ic, ExteriorForm.make(2, {(0, 1): F(1)}))
 
@@ -84,7 +83,7 @@ class TestHardLefschetz:
     def test_kodaira_thurston_fails_at_degree_one(self, kodaira_thurston):
         doc = fixture("kodaira_thurston")
         om = omega_of(doc)
-        ic = full_model(ce_complex(kodaira_thurston))
+        ic = ce_complex(kodaira_thurston)
         report = hard_lefschetz(ic, om)
         assert not report.holds
         flags = {d.degree: d.iso for d in report.degrees}
@@ -103,7 +102,7 @@ class TestHardLefschetz:
         doc = fixture("kodaira_thurston")
         om = omega_of(doc)
         cx = ce_complex(kodaira_thurston)
-        ic = full_model(cx)
+        ic = cx
         eta = ExteriorForm.monomial((2,), 5)
         shifted = om + cx.d_form(eta)
         assert shifted != om
@@ -121,7 +120,7 @@ class TestHardLefschetz:
 class TestPoincarePairing:
     def test_abelian_perfect(self):
         g = algebra_of(fixture("abelian", {"n": 4}))
-        report = poincare_pairing(full_model(ce_complex(g)))
+        report = poincare_pairing(ce_complex(g))
         assert report.top_betti == 1
         assert report.all_perfect
 
@@ -132,33 +131,17 @@ class TestPoincarePairing:
         assert report.degrees[1].matrix.shape == (2, 2)
 
     def test_heisenberg_full_perfect(self, heisenberg):
-        report = poincare_pairing(full_model(ce_complex(heisenberg)))
+        report = poincare_pairing(ce_complex(heisenberg))
         assert report.all_perfect
 
     def test_all_shipped_fixture_models_perfect(self):
         for name in ("sol", "rotation", "heisenberg", "filiform4",
                      "kodaira_thurston", "complex_sol"):
             g = algebra_of(fixture(name))
-            assert poincare_pairing(full_model(ce_complex(g))).all_perfect
+            assert poincare_pairing(ce_complex(g)).all_perfect
             model = invariant_subcomplex(hull_action_data(build_splittable_hull(g)))
             assert poincare_pairing(model).all_perfect
         for name in ("twisted_heisenberg", "twisted_kodaira_thurston"):
             ic = invariant_subcomplex(hull_data_of(fixture(name)))
             assert poincare_pairing(ic).all_perfect
 
-
-class TestSearch:
-    def test_finds_a_form_on_twisted_model(self):
-        ic, _ = twisted_kt_model()
-        found = search_symplectic_form(ic, attempts=100, seed=5)
-        assert found is not None
-        assert verify_symplectic(ic, found).symplectic
-
-    def test_returns_none_on_odd_dimension(self, sol):
-        assert search_symplectic_form(full_model(ce_complex(sol))) is None
-
-    def test_deterministic_given_seed(self):
-        ic, _ = twisted_kt_model()
-        a = search_symplectic_form(ic, attempts=50, seed=11)
-        b = search_symplectic_form(ic, attempts=50, seed=11)
-        assert a == b
