@@ -16,10 +16,9 @@ computed once per term of T.  Coefficients are scaled to integer numerators over
 common denominator per factor, only nonzero pairs are multiplied, and
 each nonzero output is reduced to a Fraction once.  The same kernel
 builds the differentials, the derivation and pullback matrices, and the
-ExteriorForm wedge.  A Chart reads coordinates in independent vectors
-without solving; cohomology projections keep one per degree for the
-pivot columns of [representatives | d_(k-1)], and invariant models one
-per degree for their sub-bases.
+ExteriorForm wedge.  Cohomology projections read coordinates from a
+linalg.Chart, one per degree for the pivot columns of
+[representatives | d_(k-1)].
 """
 
 from __future__ import annotations
@@ -27,23 +26,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from typing import Iterable, Mapping, Optional, Protocol, Sequence, TypeVar
 
 from .errors import PreconditionError, StructureError
 from .lie import LieAlgebra
 from .linalg import (
     QQ,
+    Chart,
     Mat,
     Scalar,
     Vec,
+    dense_vec,
     int_terms,
-    is_zero_vec,
     kernel_basis,
     qq,
     rank,
     rref,
-    unit_vec,
 )
 
 Indices = tuple[int, ...]
@@ -52,15 +50,6 @@ Coeff = TypeVar("Coeff", int, Fraction)
 SparseForm = tuple[int, list[tuple[int, int]]]
 
 _ZERO = QQ(0)
-
-
-def _dense(n: int, den: int, nums: Mapping[int, int]) -> Vec:
-    """The length-n vector with entries nums[j] / den, zero elsewhere."""
-    out = [_ZERO] * n
-    for j, x in nums.items():
-        if x:
-            out[j] = Fraction(x, den)
-    return tuple(out)
 
 
 def _mask(idx: Iterable[int]) -> int:
@@ -285,13 +274,13 @@ class CochainComplex(ComplexLike):
     def wedge_coords(self, p: int, u: Vec, q: int, v: Vec) -> Vec:
         if p + q > self.dim:
             return ()
-        return _dense(self.space_dim(p + q),
+        return dense_vec(self.space_dim(p + q),
                       *self.product(self.sparse(p, u), self.sparse(q, v), p + q))
 
     def _vector(self, k: int, den: int, terms: Mapping[int, int]) -> Vec:
         """Coordinates of the k-form sum of terms[mask] / den xi^mask."""
         index = self._index[k]
-        return _dense(len(index), den, {index[m]: x for m, x in terms.items()})
+        return dense_vec(len(index), den, {index[m]: x for m, x in terms.items()})
 
     def derivation_matrix(self, k: int, images: Sequence[Vec], e: int) -> Mat:
         """Matrix from k- to (k+e-1)-forms of the derivation xi^g -> images[g].
@@ -337,108 +326,30 @@ def ce_complex(g: LieAlgebra) -> CochainComplex:
     structure constants violate the Jacobi identity.
     """
     cx = CochainComplex(g)
+    # d(d xi^S) column by column from the nonzero entries of each d_k,
+    # which are sparse: dense products would visit every entry
+    cols = [_nonzero_columns(cx.dmat(k)) for k in range(g.dim + 1)]
     for k in range(g.dim):
-        prod = cx.dmat(k + 1) @ cx.dmat(k)
-        if not prod.is_zero():
-            bad = next(
-                j for j in range(prod.cols) if not is_zero_vec(prod.col(j))
-            )
-            name = "^".join(g.basis_names[i] for i in cx.basis(k)[bad])
-            raise StructureError(
-                f"d o d is nonzero on {name}; the bracket violates the Jacobi identity")
+        for j, col in enumerate(cols[k]):
+            acc: dict[int, QQ] = {}
+            for m, x in col:
+                for i, y in cols[k + 1][m]:
+                    acc[i] = acc.get(i, _ZERO) + x * y
+            if any(acc.values()):
+                name = "^".join(g.basis_names[i] for i in cx.basis(k)[j])
+                raise StructureError(
+                    f"d o d is nonzero on {name}; the bracket violates the Jacobi identity")
     return cx
 
 
-class Chart:
-    """Coordinates in independent vectors, read off where they are invertible.
-
-    A chart keeps rows P of the ambient space on which the vectors are
-    invertible, with the inverse of that block: coordinate j of
-    w = sum_i x_i basis_i is the sum of w[r] * c over the nonzero (r, c)
-    of column j of the inverse.  coords() confirms the reading by
-    combining back, so a vector outside the span yields None and no
-    system is solved per call.  Rows where a single vector is nonzero
-    are preferred: a kernel_basis output is 1 at its own free column and
-    0 at the other free columns, so its block is the identity and needs
-    no elimination.  The basis and the inverse are kept as integer
-    numerators over one denominator each, so reading and confirming are
-    integer arithmetic.
-    """
-
-    __slots__ = ("_n", "_basis_den", "_basis", "_inverse_den", "_inverse")
-
-    def __init__(self, basis: Sequence[Vec], n: int):
-        self._n = n
-        self._basis_den, self._basis = int_terms(basis)
-        self._inverse_den, self._inverse = 1, {}
-        if not basis:
-            return
-        owners = [0] * n
-        for support in self._basis:
-            for j, _ in support:
-                owners[j] += 1
-        owned = [next(((j, x) for j, x in support if owners[j] == 1), None)
-                 for support in self._basis]
-        b = len(owned)
-        if None not in owned:
-            # each vector alone at its row: the block is diagonal
-            rows = [j for j, _ in owned]
-            inverse = [[(i, Fraction(self._basis_den, x))] for i, (_, x) in enumerate(owned)]
-        else:
-            rows = list(rref(Mat.from_rows(basis, cols=n))[1])
-            # [block | I] reduces to [I | block^-1]
-            red = rref(Mat.from_rows([tuple(v[r] for r in rows) + unit_vec(b, i)
-                                      for i, v in enumerate(basis)]))[0]
-            inverse = [[(i, red[i, b + j]) for i in range(b) if red[i, b + j]] for j in range(b)]
-        # by ambient row: the (coordinate, numerator) pairs it contributes to
-        den = self._inverse_den = lcm(*{c.denominator for col in inverse for _, c in col})
-        for j, col in enumerate(inverse):
-            for i, c in col:
-                self._inverse.setdefault(rows[i], []).append(
-                    (j, c.numerator * (den // c.denominator)))
-
-    def _int_combination(self, terms: Iterable[tuple[int, int]]) -> dict[int, int]:
-        """Sum over the given (i, x) of x times basis_i's numerators, by position."""
-        out: dict[int, int] = {}
-        for i, x in terms:
+def _nonzero_columns(m: Mat) -> list[list[tuple[int, QQ]]]:
+    """The (row, entry) pairs of the nonzero entries of each column of m."""
+    cols: list[list[tuple[int, QQ]]] = [[] for _ in range(m.cols)]
+    for i, row in enumerate(m.entries):
+        for j, x in enumerate(row):
             if x:
-                for j, c in self._basis[i]:
-                    out[j] = out.get(j, 0) + x * c
-        return out
-
-    def scaled_combination(self, coords: Vec) -> tuple[int, dict[int, int]]:
-        """sum_i coords_i basis_i as (D, its numerators over D by position)."""
-        den, (terms,) = int_terms([coords])
-        return den * self._basis_den, self._int_combination(terms)
-
-    def combine(self, coords: Vec) -> Vec:
-        """The ambient vector sum_i coords_i basis_i."""
-        return _dense(self._n, *self.scaled_combination(coords))
-
-    def coords(self, w: Vec) -> Optional[Vec]:
-        """Coordinates of w in the basis, or None if w is outside its span."""
-        if len(w) != self._n:
-            raise ValueError("vector length does not match the chart")
-        den, (target,) = int_terms([w])
-        return self.scaled_coords(den, dict(target))
-
-    def scaled_coords(self, den: int, target: dict[int, int]) -> Optional[Vec]:
-        """coords() of the vector with entries target[j] / den, zero elsewhere.
-
-        The given numerators must be nonzero.
-        """
-        # x_j = num_j / (den * inverse_den); basis_i = int_i / basis_den
-        nums = [0] * len(self._basis)
-        for r, x in target.items():
-            for j, c in self._inverse.get(r, ()):
-                nums[j] += x * c
-        back = self._int_combination(enumerate(nums))
-        scale = self._inverse_den * self._basis_den
-        if any(back.get(j, 0) != x * scale for j, x in target.items()) or \
-                sum(1 for x in back.values() if x) != len(target):
-            return None
-        out_den = den * self._inverse_den
-        return tuple([Fraction(x, out_den) if x else _ZERO for x in nums])
+                cols[j].append((i, x))
+    return cols
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cochain import (
-    Chart,
     CochainComplex,
     CohomologyClass,
     ComplexLike,
@@ -33,6 +32,7 @@ from .cochain import (
 from .errors import InternalCheckError
 from .hull import DEFAULT_FINITE_BOUND, HullData, validate_hull_data
 from .linalg import (
+    Chart,
     Mat,
     Vec,
     is_zero_vec,

@@ -10,6 +10,12 @@ corresponding simply connected group, so its abelianity decides whether
 the group splits as R^n acting semisimply on R^m; when it does,
 recognize_split_form produces the splitting constructively.
 
+A hull computes the nilradical of g once: the first Fitting round of the
+nilpotent supplement works on g itself with it, and only later rounds,
+on proper subalgebras, compute their own.  Coordinates in a fixed basis
+are read from a linalg.Chart, and the lifts of g mod the nilradical are
+pivot columns of one elimination.
+
 Every structural claim made by a returned object is re-verified before
 returning; a failure raises InternalCheckError since it would indicate an
 arithmetic bug rather than bad input.
@@ -32,13 +38,14 @@ from .lie import (
     is_nilpotent,
     is_solvable,
     nilradical,
+    validate,
 )
 from .linalg import (
     QQ,
+    Chart,
     Mat,
     Vec,
     char_poly,
-    coords_in,
     eval_poly_at_matrix,
     is_nilpotent_matrix,
     is_semisimple_matrix,
@@ -46,8 +53,8 @@ from .linalg import (
     kernel_basis,
     poly_ext_gcd,
     rank,
-    reduce_against,
     row_space_basis,
+    rref,
     solve,
     squarefree_part,
     unit_vec,
@@ -165,10 +172,11 @@ def semisimple_parts_add_on_nilradical(
 def _induced_subalgebra(g: LieAlgebra, rows: Sequence[Vec]) -> LieAlgebra:
     """Bracket of g restricted to a subalgebra, in the given basis rows."""
     k = len(rows)
+    chart = Chart(rows, g.dim)
     table = [[zero_vec(k) for _ in range(k)] for _ in range(k)]
     for i in range(k):
         for j in range(k):
-            w = coords_in(rows, g.bracket(rows[i], rows[j]))
+            w = chart.coords(g.bracket(rows[i], rows[j]))
             if w is None:
                 raise InternalCheckError("span is not closed under the bracket")
             table[i][j] = w
@@ -176,7 +184,7 @@ def _induced_subalgebra(g: LieAlgebra, rows: Sequence[Vec]) -> LieAlgebra:
     return LieAlgebra(k, names, tuple(tuple(r) for r in table))
 
 
-def _nilpotent_supplement(g: LieAlgebra) -> list[Vec]:
+def _nilpotent_supplement(g: LieAlgebra, nr: Subspace) -> list[Vec]:
     """A nilpotent subalgebra h with h + nilradical = g, deterministically.
 
     Iterated Fitting-null reduction: while h is not nilpotent, replace it
@@ -185,28 +193,25 @@ def _nilpotent_supplement(g: LieAlgebra) -> list[Vec]:
     of a derivation lie in [g, g], so the projection of h onto g modulo
     the nilradical stays onto; the dimension strictly drops, and on a
     nilpotent h the semisimple parts of adjoints depend linearly on the
-    element, which is what the hull construction needs.
+    element, which is what the hull construction needs.  The first round
+    works on g itself with its nilradical nr; later rounds on the
+    subalgebra spanned by the current rows.
     """
     rows = [unit_vec(g.dim, i) for i in range(g.dim)]
-    while True:
-        sub = _induced_subalgebra(g, rows)
-        if is_nilpotent(sub):
-            return rows
-        nr_sub = nilradical(sub)
+    sub, nr_sub = g, nr
+    while not is_nilpotent(sub):
+        if nr_sub is None:
+            nr_sub = nilradical(sub)
         c = complement_directions(sub, nr_sub)[0]
         adx = ad_matrix(sub, unit_vec(sub.dim, c))
         null = kernel_basis(adx.power(sub.dim))
-        lifted = []
-        for v in null:
-            acc = zero_vec(g.dim)
-            for coeff, basis_vec in zip(v, rows):
-                if coeff != 0:
-                    acc = vadd(acc, vscale(coeff, basis_vec))
-            lifted.append(acc)
-        new_rows = row_space_basis(lifted, g.dim)
+        span = Mat.from_cols(rows, rows=g.dim)
+        new_rows = row_space_basis([span.apply(v) for v in null], g.dim)
         if len(new_rows) >= len(rows):
             raise InternalCheckError("Fitting reduction failed to shrink")
         rows = new_rows
+        sub, nr_sub = _induced_subalgebra(g, rows), None
+    return rows
 
 
 @dataclass(frozen=True)
@@ -248,25 +253,13 @@ def build_splittable_hull(g: LieAlgebra) -> SplittableHull:
 
     # x -> d_x is linear only on a nilpotent subalgebra supplementing the
     # nilradical; build one, take Jordan parts of lifts there, and extend
-    # to all of g through the quotient coordinates
-    comp = complement_directions(g, nr)
-    k = len(comp)
-
-    def proj(v: Vec) -> Vec:
-        residual = reduce_against(nr.basis, v)
-        return tuple(residual[c] for c in comp)
-
-    supplement = _nilpotent_supplement(g)
-    lifts: list[Vec] = []
-    span: list[Vec] = []
-    for row in supplement:
-        image = proj(row)
-        extended = row_space_basis(span + [image], k)
-        if len(extended) > len(span):
-            lifts.append(row)
-            span = extended
-        if len(lifts) == k:
-            break
+    # to all of g through the quotient coordinates.  The lifts are the
+    # supplement rows independent of the nilradical and the rows before
+    # them: the pivot columns of [nilradical | supplement] past its block.
+    k = n - nr.dim
+    supplement = _nilpotent_supplement(g, nr)
+    pivots = rref(Mat.from_cols(list(nr.basis) + supplement, rows=n))[1]
+    lifts = [supplement[p - nr.dim] for p in pivots if p >= nr.dim]
     if len(lifts) != k:
         raise InternalCheckError("nilpotent supplement does not cover g mod nilradical")
 
@@ -281,17 +274,17 @@ def build_splittable_hull(g: LieAlgebra) -> SplittableHull:
                 raise InternalCheckError(
                     "x -> d_x is not additive on the nilpotent supplement")
 
-    proj_mat = Mat.from_cols([proj(lift) for lift in lifts], rows=k)
+    # d_(e_i) combines the d_lift by the quotient coordinates of e_i: its
+    # last k coordinates in the basis nilradical + lifts
+    quotient = Chart(list(nr.basis) + lifts, n)
+    d_flat = [d.flatten() for d in d_lift]
+    d_cols = Mat.from_cols(d_flat, rows=n * n)
     d_mats: list[Mat] = []
     for i in range(n):
-        gamma = solve(proj_mat, proj(unit_vec(n, i))) if k else ()
-        if gamma is None:
+        coords = quotient.coords(unit_vec(n, i))
+        if coords is None:
             raise InternalCheckError("quotient coordinates of a basis vector failed")
-        acc = Mat.zero(n, n)
-        for coeff, dmat in zip(gamma, d_lift):
-            if coeff != 0:
-                acc = acc + coeff * dmat
-        d_mats.append(acc)
+        d_mats.append(Mat.unflatten(d_cols.apply(coords[nr.dim:]), n, n))
 
     # the images of the semisimple parts must land in the nilradical
     for i in range(n):
@@ -299,7 +292,7 @@ def build_splittable_hull(g: LieAlgebra) -> SplittableHull:
             if not nr.contains(d_mats[i].col(j)):
                 raise InternalCheckError("semisimple part image escapes the nilradical")
 
-    imf_rows = row_space_basis([d.flatten() for d in d_lift], n * n)
+    imf_rows = row_space_basis(d_flat, n * n)
     imf = tuple(Mat.unflatten(rw, n, n) for rw in imf_rows)
     r = len(imf)
     if r != n - nr.dim:
@@ -313,9 +306,10 @@ def build_splittable_hull(g: LieAlgebra) -> SplittableHull:
         _check_derivation(g, imf[a], InternalCheckError,
                           "torus basis element violates the Leibniz rule on")
 
+    imf_chart = Chart(imf_rows, n * n)
     d_coords = []
     for i in range(n):
-        coords = coords_in(imf_rows, d_mats[i].flatten())
+        coords = imf_chart.coords(d_mats[i].flatten())
         if coords is None:
             raise InternalCheckError("adjoint semisimple part escapes the torus span")
         d_coords.append(coords)
@@ -334,25 +328,20 @@ def build_splittable_hull(g: LieAlgebra) -> SplittableHull:
             cbar[r + i][r + j] = zero_vec(r) + g.c[i][j]
     names = tuple(f"D{a + 1}" for a in range(r)) + g.basis_names
     gbar = LieAlgebra(big, names, tuple(tuple(row) for row in cbar))
-    from .lie import validate as _validate
-
-    bad = _validate(gbar)
+    bad = validate(gbar)
     if bad is not None:
         raise InternalCheckError("splittable hull fails the Lie axioms: "
                                  + bad.describe(gbar.basis_names))
 
     # nilshadow basis: v_i = e_i - d_{e_i} inside gbar
     vbar = [vscale(-1, d_coords[i]) + unit_vec(n, i) for i in range(n)]
+    vbar_cols = Mat.from_cols(vbar, rows=big)
     shadow_c = [[zero_vec(n) for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
             w = gbar.bracket(vbar[i], vbar[j])
             beta = w[r:]
-            recon = zero_vec(big)
-            for k, bk in enumerate(beta):
-                if bk != 0:
-                    recon = vadd(recon, vscale(bk, vbar[k]))
-            if recon != w:
+            if vbar_cols.apply(beta) != w:
                 raise InternalCheckError("nilshadow is not closed under the bracket")
             shadow_c[i][j] = beta
     nbar = LieAlgebra(n, g.basis_names, tuple(tuple(row) for row in shadow_c))
@@ -440,11 +429,12 @@ def recognize_split_form(g: LieAlgebra, hull: SplittableHull) -> Optional[SplitF
                 raise InternalCheckError("nilradical is not abelian despite abelian hull")
 
     # action of each coordinate direction on the nilradical, in nr coords
+    nr_chart = Chart(nr.basis, n)
     acts = []
     for i in range(n):
         cols = []
         for v in nr.basis:
-            w = coords_in(nr.basis, g.bracket(unit_vec(n, i), v))
+            w = nr_chart.coords(g.bracket(unit_vec(n, i), v))
             if w is None:
                 raise InternalCheckError("nilradical is not an ideal")
             cols.append(w)
@@ -458,15 +448,8 @@ def recognize_split_form(g: LieAlgebra, hull: SplittableHull) -> Optional[SplitF
     if len(v0) + len(nprime) != m or len(row_space_basis(list(v0) + nprime, m)) != m:
         raise InternalCheckError("weight-zero space and action image do not split the nilradical")
 
-    def lift(w_nr: Vec) -> Vec:
-        out = zero_vec(n)
-        for ck, bv in zip(w_nr, nr.basis):
-            if ck != 0:
-                out = vadd(out, vscale(ck, bv))
-        return out
-
     derived = derived_subalgebra(g)
-    nprime_g = row_space_basis([lift(p) for p in nprime], n)
+    nprime_g = row_space_basis([nr_chart.combine(p) for p in nprime], n)
     for w in derived.basis:
         if not Subspace(g, tuple(nprime_g)).contains(w):
             raise InternalCheckError("derived algebra escapes the weight-nonzero part")
@@ -484,7 +467,7 @@ def recognize_split_form(g: LieAlgebra, hull: SplittableHull) -> Optional[SplitF
         rhs = []
         for (a, b) in pairs:
             ca, cb = comp[a], comp[b]
-            target = coords_in(nr.basis, g.bracket(unit_vec(n, ca), unit_vec(n, cb)))
+            target = nr_chart.coords(g.bracket(unit_vec(n, ca), unit_vec(n, cb)))
             if target is None:
                 raise InternalCheckError("bracket of complement directions escapes the nilradical")
             for row_i in range(m):
@@ -497,16 +480,10 @@ def recognize_split_form(g: LieAlgebra, hull: SplittableHull) -> Optional[SplitF
         sol = solve(Mat.from_rows(rows, cols=k * s), tuple(rhs))
         if sol is None:
             raise InternalCheckError("abelian correction system is inconsistent")
-        for c in range(k):
-            acc = zero_vec(m)
-            for t in range(s):
-                if sol[c * s + t] != 0:
-                    acc = vadd(acc, vscale(sol[c * s + t], nprime[t]))
-            chi[c] = acc
+        nprime_cols = Mat.from_cols(nprime, rows=m)
+        chi = [nprime_cols.apply(sol[c * s:(c + 1) * s]) for c in range(k)]
 
-    complement = []
-    for c in range(k):
-        complement.append(vadd(unit_vec(n, comp[c]), lift(chi[c])))
+    complement = [vadd(unit_vec(n, comp[c]), nr_chart.combine(chi[c])) for c in range(k)]
     for a in range(k):
         for b in range(a + 1, k):
             if not is_zero_vec(g.bracket(complement[a], complement[b])):
@@ -518,7 +495,7 @@ def recognize_split_form(g: LieAlgebra, hull: SplittableHull) -> Optional[SplitF
     for c in range(k):
         cols = []
         for v in nr.basis:
-            w = coords_in(nr.basis, g.bracket(complement[c], v))
+            w = nr_chart.coords(g.bracket(complement[c], v))
             if w is None:
                 raise InternalCheckError("complement does not preserve the nilradical")
             cols.append(w)
@@ -620,15 +597,12 @@ def hull_action_data(hull: SplittableHull) -> HullData:
     derivations are semisimple and commute, and there is no finite part.
     """
     nbar = hull.nbar
+    inclusion = Mat.from_cols(hull.nbar_inclusion, rows=hull.gbar.dim)
     for a, d in enumerate(hull.imf_basis):
         _check_derivation(nbar, d, InternalCheckError,
                           "torus derivation on the nilshadow violates the Leibniz rule on")
         for i in range(nbar.dim):
             lhs = hull.gbar.bracket(unit_vec(hull.gbar.dim, a), hull.nbar_inclusion[i])
-            rhs = zero_vec(hull.gbar.dim)
-            for kk, ck in enumerate(d.col(i)):
-                if ck != 0:
-                    rhs = vadd(rhs, vscale(ck, hull.nbar_inclusion[kk]))
-            if lhs != rhs:
+            if lhs != inclusion.apply(d.col(i)):
                 raise InternalCheckError("torus action does not transport to the nilshadow")
     return HullData(nbar, hull.imf_basis, ())

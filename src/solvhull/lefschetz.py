@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .cochain import ComplexLike, ExteriorForm, cohomology, wedge_power
+from .cochain import CohomologyBasis, ComplexLike, ExteriorForm, cohomology, wedge_power
 from .errors import InternalCheckError, PreconditionError
 from .linalg import Mat, is_zero_vec, rank, unit_vec
 
@@ -83,7 +83,7 @@ def hard_lefschetz(ic: ComplexLike, omega: ExteriorForm,
         raise PreconditionError("hard Lefschetz needs a verified symplectic form")
     n = ic.dim // 2
     zero_diff = ic.has_zero_differential()
-    pairing = poincare_pairing(ic) if zero_diff else None
+    top = cohomology(ic, ic.dim) if zero_diff else None
 
     degrees = []
     all_iso = True
@@ -110,7 +110,7 @@ def hard_lefschetz(ic: ComplexLike, omega: ExteriorForm,
                          for j in range(ni)]
             fmat = Mat.from_cols(form_cols, rows=ic.space_dim(2 * n - i))
             injective = rank(fmat) == ni
-            perfect = pairing.degrees[i].perfect
+            perfect = _degree_pairing(ic, top, i).perfect
             predicted = injective and hi.betti == htarget.betti
             if predicted != iso:
                 raise InternalCheckError(
@@ -144,25 +144,25 @@ def poincare_pairing(ic: ComplexLike) -> PairingReport:
     emitted, flagged imperfect, and the anomaly is noted.
     """
     top = cohomology(ic, ic.dim)
-    scalar = top.betti == 1
-    degrees = []
-    all_perfect = True
-    for k in range(ic.dim + 1):
-        hk = cohomology(ic, k)
-        hdual = cohomology(ic, ic.dim - k)
-        rows = []
-        for rep_k in hk.reps:
-            row = []
-            for rep_d in hdual.reps:
-                prod = ic.wedge_coords(k, rep_k, ic.dim - k, rep_d)
-                coeffs, _ = top.express(prod)
-                row.append(coeffs[0] if coeffs else Fraction(0))
-            rows.append(tuple(row))
-        matrix = Mat.from_rows(rows, cols=hdual.betti) if rows else Mat.zero(0, hdual.betti)
-        perfect = scalar and hk.betti == hdual.betti and rank(matrix) == hk.betti
-        degrees.append(DegreePairing(k, matrix, perfect))
-        all_perfect = all_perfect and perfect
-    note = "" if scalar else (
+    degrees = tuple(_degree_pairing(ic, top, k) for k in range(ic.dim + 1))
+    note = "" if top.betti == 1 else (
         f"top cohomology has dimension {top.betti}, pairing values are "
         "first-coordinate projections only")
-    return PairingReport(top.betti, tuple(degrees), all_perfect, note)
+    return PairingReport(top.betti, degrees, all(d.perfect for d in degrees), note)
+
+
+def _degree_pairing(ic: ComplexLike, top: CohomologyBasis, k: int) -> DegreePairing:
+    """The cup pairing H^k x H^(dim-k) -> H^dim, read on the first top coordinate."""
+    hk = cohomology(ic, k)
+    hdual = cohomology(ic, ic.dim - k)
+    rows = []
+    for rep_k in hk.reps:
+        row = []
+        for rep_d in hdual.reps:
+            prod = ic.wedge_coords(k, rep_k, ic.dim - k, rep_d)
+            coeffs, _ = top.express(prod)
+            row.append(coeffs[0] if coeffs else Fraction(0))
+        rows.append(tuple(row))
+    matrix = Mat.from_rows(rows, cols=hdual.betti) if rows else Mat.zero(0, hdual.betti)
+    perfect = top.betti == 1 and hk.betti == hdual.betti and rank(matrix) == hk.betti
+    return DegreePairing(k, matrix, perfect)

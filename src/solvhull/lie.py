@@ -22,7 +22,6 @@ from .linalg import (
     is_nilpotent_matrix,
     is_zero_vec,
     kernel_basis,
-    reduce_against,
     row_space_basis,
     rref,
     unit_vec,
@@ -303,32 +302,22 @@ def nilradical(g: LieAlgebra) -> Subspace:
         raise PreconditionError("nilradical is only computed for solvable algebras")
     n = g.dim
     ads = [ad_matrix(g, unit_vec(n, i)) for i in range(n)]
+    gens = [a for a in ads if not a.is_zero()]
 
     # associative envelope: saturate the span of the ad operators under
-    # left multiplication by generators until the dimension stabilizes
-    env_rows: list[Vec] = []
-    env_mats: list[Mat] = []
-    work: list[Mat] = []
+    # left multiplication by them, in rounds.  A round's new members are
+    # its candidates that are pivot columns of [envelope | candidates];
+    # only the span matters below, not which members span it.
+    env: list[Mat] = []
+    candidates = gens
+    while candidates:
+        cols = [m.flatten() for m in env + candidates]
+        pivots = rref(Mat.from_cols(cols, rows=n * n))[1]
+        new = [candidates[p - len(env)] for p in pivots if p >= len(env)]
+        env += new
+        candidates = [a @ b for b in new for a in gens]
 
-    def try_add(mat: Mat) -> None:
-        res = reduce_against(env_rows, mat.flatten())
-        if is_zero_vec(res):
-            return
-        env_mats.append(mat)
-        env_rows[:] = row_space_basis([m.flatten() for m in env_mats], n * n)
-        work.append(mat)
-
-    for a in ads:
-        if not a.is_zero():
-            try_add(a)
-    while work:
-        current = work.pop(0)
-        for a in ads:
-            if a.is_zero():
-                continue
-            try_add(a @ current)
-
-    if not env_mats:
+    if not env:
         result = Subspace.full(g)  # abelian: every adjoint vanishes
     else:
         # trace(ad_k b) = sum_ij (ad_k)_ij b_ji, over the nonzero (ad_k)_ij
@@ -336,7 +325,7 @@ def nilradical(g: LieAlgebra) -> Subspace:
                     for a in ads]
         constraint = Mat.from_rows(
             [tuple(sum((x * b.entries[j][i] for i, j, x in support), QQ(0))
-                   for support in supports) for b in env_mats],
+                   for support in supports) for b in env],
             cols=n,
         )
         result = Subspace.span(g, kernel_basis(constraint))

@@ -6,7 +6,10 @@ polynomials are immutable, all values are ``fractions.Fraction``
 fixed so that repeated runs produce bit-identical bases.  No floating
 point anywhere.  The hot kernels, ``Mat @`` and ``rref``, compute on
 integer numerators and visit nonzero entries only; they return the same
-canonical Fractions as the textbook dense algorithms.
+canonical Fractions as the textbook dense algorithms.  A ``Chart`` reads
+coordinates in a fixed set of independent vectors without solving a
+system per vector; the hull, the cohomology projections and the
+invariant models each keep one per basis they read from.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence, TypeVar, Union
+from typing import Iterable, Mapping, Optional, Sequence, TypeVar, Union
 
 QQ = Fraction
 K = TypeVar("K")
@@ -43,12 +46,17 @@ def unit_vec(n: int, i: int) -> Vec:
     return tuple(QQ(1) if j == i else QQ(0) for j in range(n))
 
 
+def dense_vec(n: int, den: int, nums: Mapping[int, int]) -> Vec:
+    """The length-n vector with entries nums[j] / den, zero elsewhere."""
+    out = [_ZERO] * n
+    for j, x in nums.items():
+        if x:
+            out[j] = Fraction(x, den)
+    return tuple(out)
+
+
 def vadd(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vsub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
 def vscale(c: Scalar, v: Vec) -> Vec:
@@ -205,9 +213,6 @@ class Mat:
         support = [(j, x) for j, x in enumerate(v) if x]
         return tuple(sum((r[j] * x for j, x in support if r[j]), _ZERO) for r in self.entries)
 
-    def transpose(self) -> "Mat":
-        return Mat([self.col(j) for j in range(self.cols)], cols=self.rows)
-
     def trace(self) -> QQ:
         if self.rows != self.cols:
             raise ValueError("trace of non-square matrix")
@@ -353,13 +358,6 @@ def kernel_basis(m: Mat) -> list[Vec]:
     return basis
 
 
-def coords_in(basis: Sequence[Vec], w: Vec) -> Optional[Vec]:
-    """Coordinates of w in the given basis vectors, or None."""
-    if not basis:
-        return () if is_zero_vec(w) else None
-    return solve(Mat.from_cols(basis, rows=len(w)), w)
-
-
 def solve(m: Mat, b: Vec) -> Optional[Vec]:
     """Some x with m x = b, or None if the system is inconsistent.
 
@@ -404,6 +402,98 @@ def reduce_against(basis: Sequence[Vec], v: Vec) -> Vec:
 
 def in_row_space(basis: Sequence[Vec], v: Vec) -> bool:
     return is_zero_vec(reduce_against(basis, v))
+
+
+class Chart:
+    """Coordinates in independent vectors, read off where they are invertible.
+
+    A chart keeps rows P of the ambient space on which the vectors are
+    invertible, with the inverse of that block: coordinate j of
+    w = sum_i x_i basis_i is the sum of w[r] * c over the nonzero (r, c)
+    of column j of the inverse.  coords() confirms the reading by
+    combining back, so a vector outside the span yields None and no
+    system is solved per call.  Rows where a single vector is nonzero
+    are preferred: a kernel_basis output is 1 at its own free column and
+    0 at the other free columns, so its block is the identity and needs
+    no elimination.  The basis and the inverse are kept as integer
+    numerators over one denominator each, so reading and confirming are
+    integer arithmetic.
+    """
+
+    __slots__ = ("_n", "_basis_den", "_basis", "_inverse_den", "_inverse")
+
+    def __init__(self, basis: Sequence[Vec], n: int):
+        self._n = n
+        self._basis_den, self._basis = int_terms(basis)
+        self._inverse_den, self._inverse = 1, {}
+        if not basis:
+            return
+        owners = [0] * n
+        for support in self._basis:
+            for j, _ in support:
+                owners[j] += 1
+        owned = [next(((j, x) for j, x in support if owners[j] == 1), None)
+                 for support in self._basis]
+        b = len(owned)
+        if None not in owned:
+            # each vector alone at its row: the block is diagonal
+            rows = [j for j, _ in owned]
+            inverse = [[(i, Fraction(self._basis_den, x))] for i, (_, x) in enumerate(owned)]
+        else:
+            rows = list(rref(Mat.from_rows(basis, cols=n))[1])
+            # [block | I] reduces to [I | block^-1]
+            red = rref(Mat.from_rows([tuple(v[r] for r in rows) + unit_vec(b, i)
+                                      for i, v in enumerate(basis)]))[0]
+            inverse = [[(i, red[i, b + j]) for i in range(b) if red[i, b + j]] for j in range(b)]
+        # by ambient row: the (coordinate, numerator) pairs it contributes to
+        den = self._inverse_den = lcm(*{c.denominator for col in inverse for _, c in col})
+        for j, col in enumerate(inverse):
+            for i, c in col:
+                self._inverse.setdefault(rows[i], []).append(
+                    (j, c.numerator * (den // c.denominator)))
+
+    def _int_combination(self, terms: Iterable[tuple[int, int]]) -> dict[int, int]:
+        """Sum over the given (i, x) of x times basis_i's numerators, by position."""
+        out: dict[int, int] = {}
+        for i, x in terms:
+            if x:
+                for j, c in self._basis[i]:
+                    out[j] = out.get(j, 0) + x * c
+        return out
+
+    def scaled_combination(self, coords: Vec) -> tuple[int, dict[int, int]]:
+        """sum_i coords_i basis_i as (D, its numerators over D by position)."""
+        den, (terms,) = int_terms([coords])
+        return den * self._basis_den, self._int_combination(terms)
+
+    def combine(self, coords: Vec) -> Vec:
+        """The ambient vector sum_i coords_i basis_i."""
+        return dense_vec(self._n, *self.scaled_combination(coords))
+
+    def coords(self, w: Vec) -> Optional[Vec]:
+        """Coordinates of w in the basis, or None if w is outside its span."""
+        if len(w) != self._n:
+            raise ValueError("vector length does not match the chart")
+        den, (target,) = int_terms([w])
+        return self.scaled_coords(den, dict(target))
+
+    def scaled_coords(self, den: int, target: dict[int, int]) -> Optional[Vec]:
+        """coords() of the vector with entries target[j] / den, zero elsewhere.
+
+        The given numerators must be nonzero.
+        """
+        # x_j = num_j / (den * inverse_den); basis_i = int_i / basis_den
+        nums = [0] * len(self._basis)
+        for r, x in target.items():
+            for j, c in self._inverse.get(r, ()):
+                nums[j] += x * c
+        back = self._int_combination(enumerate(nums))
+        scale = self._inverse_den * self._basis_den
+        if any(back.get(j, 0) != x * scale for j, x in target.items()) or \
+                sum(1 for x in back.values() if x) != len(target):
+            return None
+        out_den = den * self._inverse_den
+        return tuple([Fraction(x, out_den) if x else _ZERO for x in nums])
 
 
 # ---------------------------------------------------------------------------

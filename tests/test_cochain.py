@@ -125,7 +125,8 @@ class TestCEComplex:
         c[0][2][0], c[2][0][0] = F(1), F(-1)   # [e1,e3] = e1: breaks Jacobi
         bad = LieAlgebra(3, ("e1", "e2", "e3"),
                          tuple(tuple(tuple(v) for v in row) for row in c))
-        with pytest.raises(StructureError, match="Jacobi"):
+        with pytest.raises(StructureError, match="^d o d is nonzero on e3; the bracket violates "
+                                                 "the Jacobi identity$"):
             ce_complex(bad)
 
     def test_leibniz_random(self, heisenberg, sol):

@@ -15,6 +15,7 @@ from solvhull.fixtures import fixture
 from solvhull.iodoc import algebra_of, hull_data_of, omega_of
 
 COUNTED = {
+    "lie": ("nilradical",),
     "hull": ("build_splittable_hull", "validate_hull_data"),
     "cochain": ("ce_complex",),
     "formality": ("invariant_subcomplex",),
@@ -53,6 +54,14 @@ def test_algebra_analyze_builds_one_hull_and_one_model(calls):
     assert calls["validate_hull_data"] == 1
     # the algebra's own complex and the model's ambient (nilshadow) complex
     assert calls["ce_complex"] == 2
+
+
+@pytest.mark.parametrize("name", ["complex_sol", "almost_abelian"])
+def test_algebra_analyze_computes_one_nilradical(calls, name):
+    # the hull's Fitting reduction starts from g's own nilradical
+    doc = fixture(name)
+    report.analyze(algebra_of(doc), omega=omega_of(doc))
+    assert calls["nilradical"] == 1
 
 
 def test_hull_data_analyze_builds_one_complex(calls):

@@ -2,11 +2,11 @@
 
 Mat @ and rref work on integer numerators and skip zeros; the invariant
 model reads coordinates from a chart instead of solving; the nilradical
-takes traces without forming products; the wedge product works on
-coordinate bitmasks; cohomology representatives come from one
-elimination per degree and projections read a cached chart.  Each
-is compared here with the plain computation it replaced, on random
-sparse and dense inputs.
+takes traces without forming products; the d o d = 0 check multiplies
+nonzero entries only; the wedge product works on coordinate bitmasks;
+cohomology representatives come from one elimination per degree and
+projections read a cached chart.  Each is compared here with the plain
+computation it replaced, on random sparse and dense inputs.
 """
 
 import gc
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from solvhull import report
 from solvhull.cochain import (
+    CochainComplex,
     CohomologyClass,
     ExteriorForm,
     betti_numbers,
@@ -27,7 +28,7 @@ from solvhull.cochain import (
     cup,
     wedge,
 )
-from solvhull.errors import InternalCheckError, PreconditionError
+from solvhull.errors import InternalCheckError, PreconditionError, StructureError
 from solvhull.fixtures import fixture
 from solvhull.formality import (
     InvariantComplex,
@@ -38,7 +39,7 @@ from solvhull.formality import (
 )
 from solvhull.hull import build_splittable_hull, hull_action_data
 from solvhull.iodoc import algebra_of, hull_data_of, omega_of
-from solvhull.lie import ad_matrix, nilradical
+from solvhull.lie import LieAlgebra, ad_matrix, nilradical
 from solvhull.linalg import (
     Mat,
     in_row_space,
@@ -246,6 +247,36 @@ def dense_nilradical_basis(g):
 def test_nilradical_matches_dense_traces(seed):
     g = random_split_solvable(random.Random(seed))
     assert list(nilradical(g).basis) == dense_nilradical_basis(g)
+
+
+def dense_d_squared_failure(cx):
+    """The first basis form on which the dense product d_(k+1) d_k is nonzero."""
+    for k in range(cx.dim):
+        prod = dense_matmul(cx.dmat(k + 1), cx.dmat(k))
+        bad = [j for j in range(prod.cols) if any(prod.col(j))]
+        if bad:
+            return cx.basis(k)[bad[0]]
+    return None
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_d_squared_check_names_the_dense_first_form(seed):
+    # sparse random brackets, most of which break the Jacobi identity
+    rng = random.Random(seed)
+    n = rng.randint(3, 6)
+    brackets = {}
+    for _ in range(rng.randint(1, 4)):
+        v = [0] * n
+        v[rng.randrange(n)] = rng.randint(-2, 2)
+        brackets[tuple(sorted(rng.sample(range(n), 2)))] = v
+    g = LieAlgebra.from_brackets(n, brackets)
+    bad = dense_d_squared_failure(CochainComplex(g))
+    if bad is None:
+        ce_complex(g)
+    else:
+        name = "\\^".join(g.basis_names[i] for i in bad)
+        with pytest.raises(StructureError, match=f"^d o d is nonzero on {name};"):
+            ce_complex(g)
 
 
 @pytest.mark.parametrize("name", ["complex_sol", "kodaira_thurston",
