@@ -2,9 +2,11 @@
 
 The invariant model intersects two fixed-point computations on each
 exterior degree: the joint kernel of the torus derivations (extended to
-forms as degree-zero derivations) and the image of the averaging
-projector of the finite automorphism group.  The result is checked to be
-a subcomplex closed under wedge before any verdict is issued.
+forms as degree-zero derivations) and the joint fixed space of the
+pullbacks of the finite group's generators.  A form is fixed by the group
+exactly when every generator fixes it, so the group itself is enumerated
+only to certify that it is finite.  The result is checked to be a
+subcomplex closed under wedge before any verdict is issued.
 
 Formality itself is certified only through the sound route: a vanishing
 restricted differential.  Obstructions come from triple Massey products;
@@ -59,7 +61,12 @@ def pullback_matrix(cx: CochainComplex, g: Mat, k: int) -> Mat:
 
 
 def averaging_projector(cx: CochainComplex, group: Sequence[Mat], k: int) -> Mat:
-    """(1/|G|) sum of the pullbacks over the whole finite group."""
+    """(1/|G|) sum of the pullbacks over the whole finite group.
+
+    Its image is the group's fixed space.  The pipeline reads that space
+    from the generators instead (fixed_space_basis); this sum over all of
+    G is the reference the tests compare against.
+    """
     nk = cx.space_dim(k)
     acc = Mat.zero(nk, nk)
     for g in group:
@@ -77,6 +84,19 @@ def torus_invariant_basis(cx: CochainComplex, derivations: Sequence[Mat], k: int
             for row in derivation_extension_matrix(cx, d, k).entries]
     if not rows:
         return [unit_vec(nk, i) for i in range(nk)]
+    return kernel_basis(Mat.from_rows(rows, cols=nk))
+
+
+def fixed_space_basis(pullbacks: Sequence[Mat], within: Sequence[Vec], nk: int) -> list[Vec]:
+    """Canonical basis of the vectors in span(within) fixed by every pullback.
+
+    kernel_basis depends on the kernel only: the span is cut out by its
+    annihilator, then each pullback adds the rows of g* - I.
+    """
+    rows = kernel_basis(Mat.from_rows(within, cols=nk))
+    ident = Mat.identity(nk)
+    for p in pullbacks:
+        rows.extend((p - ident).entries)
     return kernel_basis(Mat.from_rows(rows, cols=nk))
 
 
@@ -183,24 +203,25 @@ def invariant_subcomplex(h: HullData, finite_bound: int = DEFAULT_FINITE_BOUND) 
     """Forms fixed by the torus derivations and the finite group.
 
     Torus invariance is the joint kernel of the generating derivations;
-    finite invariance is the image of the averaging projector over the
-    enumerated group.  The intersection is verified to be closed under
-    the differential and the wedge product.
+    finite invariance is the joint fixed space of the generators'
+    pullbacks, checked degree by degree.  The group is enumerated (by
+    validate_hull_data) only to certify that it is finite.  The
+    intersection is verified to be closed under the differential and the
+    wedge product.
     """
-    group = validate_hull_data(h, finite_bound)
+    validate_hull_data(h, finite_bound)
     cx = ce_complex(h.u)
     n = cx.dim
 
     sub_bases: list[tuple[Vec, ...]] = []
     for k in range(n + 1):
         basis = torus_invariant_basis(cx, h.torus_derivations, k)
-        if group:
-            # kernel_basis depends on the kernel only: cut out the torus
-            # invariants by their annihilator, then add the group's rows
-            nk = cx.space_dim(k)
-            rows = kernel_basis(Mat.from_rows(basis, cols=nk))
-            rows.extend((averaging_projector(cx, group, k) - Mat.identity(nk)).entries)
-            basis = kernel_basis(Mat.from_rows(rows, cols=nk))
+        if h.finite_generators:
+            pullbacks = [pullback_matrix(cx, s, k) for s in h.finite_generators]
+            basis = fixed_space_basis(pullbacks, basis, cx.space_dim(k))
+            if any(p.apply(v) != v for p in pullbacks for v in basis):
+                raise InternalCheckError(
+                    f"invariant model in degree {k} is not fixed by every finite generator")
         sub_bases.append(tuple(basis))
 
     if len(sub_bases[0]) != 1:

@@ -518,7 +518,7 @@ class HullData:
     u is nilpotent; torus_derivations are commuting semisimple
     derivations of u; finite_generators are bracket-preserving invertible
     matrices generating a finite group.  validate_hull_data checks all of
-    this and returns the enumerated finite group.
+    this.
     """
 
     u: LieAlgebra
@@ -557,8 +557,12 @@ def enumerate_finite_group(generators: Sequence[Mat], bound: int = DEFAULT_FINIT
     return order
 
 
-def validate_hull_data(h: HullData, finite_bound: int = DEFAULT_FINITE_BOUND) -> list[Mat]:
-    """Check all HullData invariants; returns the enumerated finite group."""
+def validate_hull_data(h: HullData, finite_bound: int = DEFAULT_FINITE_BOUND) -> None:
+    """Check all HullData invariants.
+
+    The finite group is enumerated up to finite_bound elements only to
+    certify that it is finite.
+    """
     if not is_nilpotent(h.u):
         raise StructureError("hull data needs a nilpotent algebra")
     for d in h.torus_derivations:
@@ -583,7 +587,7 @@ def validate_hull_data(h: HullData, finite_bound: int = DEFAULT_FINITE_BOUND) ->
                 if lhs != rhs:
                     raise StructureError(
                         f"finite generator does not preserve the bracket at ({i}, {j})")
-    return enumerate_finite_group(h.finite_generators, finite_bound)
+    enumerate_finite_group(h.finite_generators, finite_bound)
 
 
 def hull_action_data(hull: SplittableHull) -> HullData:

@@ -64,6 +64,20 @@ def random_matrix(rng: random.Random, n: int, span: int = 3) -> Mat:
     return Mat([[Fraction(rng.randint(-span, span)) for _ in range(n)] for _ in range(n)])
 
 
+def jordan_suite_matrices():
+    """The 200 random matrices of acceptance criterion 5 (seed 2024), up to 8x8.
+
+    Each comes with a probe matrix whose characteristic polynomial,
+    evaluated at the first, gives an element of its commutant.
+    """
+    rng = random.Random(2024)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        m = Mat([[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)])
+        probe = Mat([[Fraction(rng.randint(-1, 1)) for _ in range(n)] for _ in range(n)])
+        yield m, probe
+
+
 def random_vector(rng: random.Random, n: int, span: int = 3):
     return tuple(Fraction(rng.randint(-span, span)) for _ in range(n))
 

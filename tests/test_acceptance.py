@@ -46,6 +46,8 @@ from solvhull.linalg import (
 )
 from solvhull.report import LATTICE_ASSUMPTION, analyze
 
+from conftest import jordan_suite_matrices
+
 ALGEBRA_FIXTURES = ("abelian", "heisenberg", "sol", "rotation", "filiform4",
                     "kodaira_thurston", "almost_abelian", "complex_sol")
 OVERRIDE_FIXTURES = ("twisted_heisenberg", "twisted_kodaira_thurston")
@@ -175,18 +177,14 @@ def test_criterion_4_nonformal_with_formal_finite_extension():
 
 def test_criterion_5_jordan_decomposition_suite():
     """200 random rational matrices up to 8x8: exact Jordan pairs."""
-    rng = random.Random(2024)
     start = time.monotonic()
-    for _ in range(200):
-        n = rng.randint(1, 8)
-        m = Mat([[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)])
+    for m, probe in jordan_suite_matrices():
         pair = jordan_chevalley(m)
         assert pair.s + pair.n == m
         assert pair.s.commutes_with(pair.n)
         assert annihilates(squarefree_part(char_poly(pair.s)), pair.s)
         assert is_nilpotent_matrix(pair.n)
-        commutant = eval_poly_at_matrix(char_poly(
-            Mat([[F(rng.randint(-1, 1)) for _ in range(n)] for _ in range(n)])), m)
+        commutant = eval_poly_at_matrix(char_poly(probe), m)
         assert pair.s.commutes_with(commutant)
     elapsed = time.monotonic() - start
     assert elapsed < 5.0

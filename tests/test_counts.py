@@ -16,9 +16,9 @@ from solvhull.iodoc import algebra_of, hull_data_of, omega_of
 
 COUNTED = {
     "lie": ("nilradical",),
-    "hull": ("build_splittable_hull", "validate_hull_data"),
+    "hull": ("build_splittable_hull", "validate_hull_data", "enumerate_finite_group"),
     "cochain": ("ce_complex",),
-    "formality": ("invariant_subcomplex",),
+    "formality": ("invariant_subcomplex", "averaging_projector"),
     "report": ("analyze",),
 }
 
@@ -69,6 +69,15 @@ def test_hull_data_analyze_builds_one_complex(calls):
     report.analyze(hull_data_of(doc), omega=omega_of(doc))
     assert calls["ce_complex"] == 1
     assert calls["validate_hull_data"] == 1
+
+
+def test_finite_invariants_read_the_generators_not_the_group(calls):
+    # the group is enumerated once, to certify it is finite; the model
+    # takes one pullback per generator instead of averaging over G
+    doc = fixture("twisted_kodaira_thurston")
+    report.analyze(hull_data_of(doc), omega=omega_of(doc))
+    assert calls["averaging_projector"] == 0
+    assert calls["enumerate_finite_group"] == 1
 
 
 @pytest.mark.parametrize("name", ["complex_sol", "heisenberg"])

@@ -1,10 +1,15 @@
 """Invariant models, Massey products, formality verdicts."""
 
+import functools
 import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from solvhull import cli, formality
 from solvhull.cochain import (
     CohomologyClass,
     ExteriorForm,
@@ -12,15 +17,17 @@ from solvhull.cochain import (
     cohomology,
     wedge,
 )
-from solvhull.errors import PreconditionError
+from solvhull.errors import InternalCheckError, PreconditionError
 from solvhull.fixtures import fixture
 from solvhull.formality import (
     averaging_projector,
     certify_formal_if_zero_differential,
     derivation_extension_matrix,
+    fixed_space_basis,
     formality_verdict,
     invariant_subcomplex,
     massey_triple,
+    pullback_matrix,
     torus_invariant_basis,
     verify_formality_verdict,
     verify_massey_witness,
@@ -120,6 +127,121 @@ class TestInvariantSubcomplex:
         h = HullData(heisenberg, (), (Mat.diag([1, -1, -1]),))
         with pytest.raises(PreconditionError):
             invariant_subcomplex(h, finite_bound=1)
+
+
+def _signed_perm(perm, signs):
+    """Matrix sending e_j to signs[j] e_(perm[j])."""
+    n = len(perm)
+    return Mat([[signs[j] if perm[j] == i else 0 for j in range(n)] for i in range(n)])
+
+
+def _hyperoctahedral_generators(d):
+    """A transposition, a sign change and (for d > 2) a d-cycle: they
+    generate the signed permutations of R^d, of order 2^d d!."""
+    ones = [1] * d
+    gens = [_signed_perm([1, 0] + list(range(2, d)), ones),
+            _signed_perm(list(range(d)), [-1] + ones[1:])]
+    if d > 2:
+        gens.append(_signed_perm([(j + 1) % d for j in range(d)], ones))
+    return gens
+
+
+def _on_two_copies(m):
+    d = m.rows
+    return Mat([[m[i % d, j % d] if i // d == j // d else 0 for j in range(2 * d)]
+                for i in range(2 * d)])
+
+
+@st.composite
+def hyperoctahedral_hulls(draw):
+    """The abelian algebra R^d + R^d with torus weights +w and -w on the
+    two copies and a generating set of the hyperoctahedral group of R^d
+    acting diagonally: the standard generators conjugated by a random
+    signed permutation, possibly with redundant elements, in random order."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    signs = st.lists(st.sampled_from([1, -1]), min_size=d, max_size=d)
+    c = _signed_perm(draw(st.permutations(range(d))), draw(signs))
+    c_inv = Mat([[c[j, i] for j in range(d)] for i in range(d)])  # orthogonal
+    gens = [c @ g @ c_inv for g in _hyperoctahedral_generators(d)]
+    gens += [_signed_perm(draw(st.permutations(range(d))), draw(signs))
+             for _ in range(draw(st.integers(0, 1)))]
+    gens = draw(st.permutations(gens))
+    w = draw(st.sampled_from([F(1), F(-2), F(1, 3)]))
+    torus = Mat.diag([w] * d + [-w] * d)
+    u = algebra_of(fixture("abelian", {"n": 2 * d}))
+    return d, HullData(u, (torus,), tuple(_on_two_copies(g) for g in gens))
+
+
+def _averaging_reference(h):
+    """Per degree, the fixed space of the averaging projector over the
+    enumerated group, and the model's basis cut out by the torus kernel
+    and that projector together."""
+    cx = ce_complex(h.u)
+    group = enumerate_finite_group(h.finite_generators)
+    fixed, model = [], []
+    for k in range(cx.dim + 1):
+        nk = cx.space_dim(k)
+        rows = list((averaging_projector(cx, group, k) - Mat.identity(nk)).entries)
+        fixed.append(kernel_basis(Mat.from_rows(rows, cols=nk)))
+        torus = torus_invariant_basis(cx, h.torus_derivations, k)
+        rows += kernel_basis(Mat.from_rows(torus, cols=nk))
+        model.append(tuple(kernel_basis(Mat.from_rows(rows, cols=nk))))
+    return frozenset(group), fixed, model
+
+
+@functools.lru_cache(maxsize=None)
+def _hyperoctahedral_reference(d):
+    # the group is the same set for every generating set the strategy
+    # draws, and the torus kernel the same for every nonzero weight, so
+    # the reference (9 s of averaging for d = 4) is computed once per d
+    u = algebra_of(fixture("abelian", {"n": 2 * d}))
+    gens = tuple(_on_two_copies(g) for g in _hyperoctahedral_generators(d))
+    return _averaging_reference(HullData(u, (Mat.diag([1] * d + [-1] * d),), gens))
+
+
+def _check_generators_match(h, reference):
+    group, fixed, model = reference
+    assert frozenset(enumerate_finite_group(h.finite_generators)) == group
+    cx = ce_complex(h.u)
+    for k in range(cx.dim + 1):
+        nk = cx.space_dim(k)
+        pullbacks = [pullback_matrix(cx, s, k) for s in h.finite_generators]
+        units = [unit_vec(nk, i) for i in range(nk)]
+        assert fixed_space_basis(pullbacks, units, nk) == fixed[k]
+    ic = invariant_subcomplex(h)
+    assert [ic.sub_basis(k) for k in range(cx.dim + 1)] == model
+
+
+class TestGeneratorFixedSpace:
+    """The model's finite invariants come from one pullback per generator;
+    the averaging projector over the whole group is the reference."""
+
+    @pytest.mark.parametrize("name", ["twisted_heisenberg", "twisted_kodaira_thurston"])
+    def test_fixtures_match_averaging(self, name):
+        h = hull_data_of(fixture(name))
+        _check_generators_match(h, _averaging_reference(h))
+
+    @settings(max_examples=12, deadline=None)
+    @given(hyperoctahedral_hulls())
+    def test_hyperoctahedral_matches_averaging(self, case):
+        d, h = case
+        reference = _hyperoctahedral_reference(d)
+        assert len(reference[0]) == 2 ** d * factorial(d)
+        _check_generators_match(h, reference)
+
+    def test_corrupted_fixed_space_is_an_internal_error(self, monkeypatch, capsys):
+        # the whole space in place of the fixed space: the generator
+        # negates x2, so the check fails in degree 1
+        def whole_space(pullbacks, within, nk):
+            return [unit_vec(nk, i) for i in range(nk)]
+
+        monkeypatch.setattr(formality, "fixed_space_basis", whole_space)
+        doc = fixture("twisted_kodaira_thurston")
+        with pytest.raises(InternalCheckError, match="degree 1 is not fixed"):
+            invariant_subcomplex(hull_data_of(doc))
+        assert cli.main(["invariants", "--fixture", "twisted_kodaira_thurston"]) \
+            == cli.EXIT_INTERNAL
+        assert "not fixed by every finite generator" in capsys.readouterr().err
 
 
 def _in_span(rows, v, n):
