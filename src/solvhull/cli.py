@@ -26,6 +26,8 @@ from .iodoc import (
     InputDocument,
     OmegaTerm,
     ParseError,
+    _matrix_json,
+    _rat,
     algebra_of,
     hull_data_of,
     omega_of,
@@ -34,7 +36,7 @@ from .iodoc import (
 )
 from .lefschetz import LefschetzReport, SymplecticCheck
 from .lie import nilradical, validate
-from .linalg import Mat, Poly, QQ, Vec
+from .linalg import Vec
 from .report import (
     AnalysisReport,
     KahlerConclusion,
@@ -61,34 +63,8 @@ COMMANDS = ("validate", "nilradical", "hull", "cohomology", "invariants",
 # serialization helpers (stable, exact)
 # ---------------------------------------------------------------------------
 
-def _rat(x: QQ) -> str:
-    return str(x)
-
-
 def _vec(v: Vec) -> list[str]:
     return [_rat(x) for x in v]
-
-
-def _mat(m: Mat) -> list[list[str]]:
-    return [[_rat(x) for x in row] for row in m.entries]
-
-
-def _poly_str(p: Poly, var: str = "t") -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for i in range(p.degree(), -1, -1):
-        c = p.coeffs[i]
-        if c == 0:
-            continue
-        if i == 0:
-            term = _rat(abs(c))
-        else:
-            mag = "" if abs(c) == 1 else f"{_rat(abs(c))}*"
-            term = f"{mag}{var}" + (f"^{i}" if i > 1 else "")
-        parts.append(("- " if c < 0 else "+ ") + term)
-    text = " ".join(parts)
-    return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
 
 def _form_payload(form: ExteriorForm) -> list[dict[str, Any]]:
@@ -143,7 +119,7 @@ def _lefschetz_payload(rep: LefschetzReport) -> dict[str, Any]:
         "degrees": [
             {
                 "degree": d.degree,
-                "matrix": _mat(d.matrix),
+                "matrix": _matrix_json(d.matrix),
                 "iso": d.iso,
                 "injective_on_forms": d.injective_on_forms,
                 "pairing_perfect": d.pairing_perfect,
@@ -211,7 +187,7 @@ def _split_form_payload(sf: Optional[SplitForm]) -> dict[str, Any]:
         "present": True,
         "complement": [_vec(v) for v in sf.complement],
         "ideal": [_vec(v) for v in sf.ideal],
-        "action": [_mat(a) for a in sf.action],
+        "action": [_matrix_json(a) for a in sf.action],
     }
 
 
@@ -385,7 +361,7 @@ def run(command: str, doc: InputDocument,
             ]
             payload = {
                 "torus_dim": hull.imf_dim,
-                "torus_derivations": [_mat(m) for m in hull.imf_basis],
+                "torus_derivations": [_matrix_json(m) for m in hull.imf_basis],
                 "nilshadow_abelian": verdict.abelian,
                 "nilshadow_brackets": nonzero,
                 "witness": (
@@ -476,7 +452,7 @@ def run(command: str, doc: InputDocument,
             lines = [f"hard Lefschetz: {'holds' if rep.holds else 'FAILS'}"]
             for d in rep.degrees:
                 lines.append(f"  i={d.degree}: {'iso' if d.iso else 'NOT iso'}; "
-                             f"matrix {d.matrix.rows}x{d.matrix.cols} = {_mat(d.matrix)}")
+                             f"matrix {d.matrix.rows}x{d.matrix.cols} = {_matrix_json(d.matrix)}")
             return EXIT_OK, payload, lines
 
     except PreconditionError as exc:

@@ -4,9 +4,10 @@ The invariant model intersects two fixed-point computations on each
 exterior degree: the joint kernel of the torus derivations (extended to
 forms as degree-zero derivations) and the joint fixed space of the
 pullbacks of the finite group's generators.  A form is fixed by the group
-exactly when every generator fixes it, so the group itself is enumerated
-only to certify that it is finite.  The result is checked to be a
-subcomplex closed under wedge before any verdict is issued.
+exactly when every generator fixes it.  The hull data arrive proved (by the
+hull construction, or by validate_hull_data where the pipeline takes them
+in); the result is checked to be a subcomplex closed under wedge before
+any verdict is issued.
 
 Formality itself is certified only through the sound route: a vanishing
 restricted differential.  Obstructions come from triple Massey products;
@@ -32,7 +33,7 @@ from .cochain import (
     cup,
 )
 from .errors import InternalCheckError
-from .hull import DEFAULT_FINITE_BOUND, HullData, validate_hull_data
+from .hull import HullData
 from .linalg import (
     Chart,
     Mat,
@@ -199,17 +200,16 @@ class InvariantComplex(ComplexLike):
                         self._restricted_product(a, b, p + q)
 
 
-def invariant_subcomplex(h: HullData, finite_bound: int = DEFAULT_FINITE_BOUND) -> InvariantComplex:
+def invariant_subcomplex(h: HullData) -> InvariantComplex:
     """Forms fixed by the torus derivations and the finite group.
 
-    Torus invariance is the joint kernel of the generating derivations;
-    finite invariance is the joint fixed space of the generators'
-    pullbacks, checked degree by degree.  The group is enumerated (by
-    validate_hull_data) only to certify that it is finite.  The
-    intersection is verified to be closed under the differential and the
-    wedge product.
+    h must come from hull_action_data or have passed validate_hull_data;
+    its invariants are not checked again here.  Torus invariance is the
+    joint kernel of the generating derivations; finite invariance is the
+    joint fixed space of the generators' pullbacks, checked degree by
+    degree.  The intersection is verified to be closed under the
+    differential and the wedge product.
     """
-    validate_hull_data(h, finite_bound)
     cx = ce_complex(h.u)
     n = cx.dim
 

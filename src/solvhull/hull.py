@@ -193,15 +193,13 @@ def _nilpotent_supplement(g: LieAlgebra, nr: Subspace) -> list[Vec]:
     of a derivation lie in [g, g], so the projection of h onto g modulo
     the nilradical stays onto; the dimension strictly drops, and on a
     nilpotent h the semisimple parts of adjoints depend linearly on the
-    element, which is what the hull construction needs.  The first round
-    works on g itself with its nilradical nr; later rounds on the
-    subalgebra spanned by the current rows.
+    element, which is what the hull construction needs.  h is nilpotent
+    exactly when its nilradical is all of h: the first round reads that
+    off g's nilradical nr, later rounds test the induced subalgebra.
     """
     rows = [unit_vec(g.dim, i) for i in range(g.dim)]
     sub, nr_sub = g, nr
-    while not is_nilpotent(sub):
-        if nr_sub is None:
-            nr_sub = nilradical(sub)
+    while nr_sub.dim < sub.dim:
         c = complement_directions(sub, nr_sub)[0]
         adx = ad_matrix(sub, unit_vec(sub.dim, c))
         null = kernel_basis(adx.power(sub.dim))
@@ -210,7 +208,8 @@ def _nilpotent_supplement(g: LieAlgebra, nr: Subspace) -> list[Vec]:
         if len(new_rows) >= len(rows):
             raise InternalCheckError("Fitting reduction failed to shrink")
         rows = new_rows
-        sub, nr_sub = _induced_subalgebra(g, rows), None
+        sub = _induced_subalgebra(g, rows)
+        nr_sub = Subspace.full(sub) if is_nilpotent(sub) else nilradical(sub)
     return rows
 
 
@@ -517,8 +516,9 @@ class HullData:
 
     u is nilpotent; torus_derivations are commuting semisimple
     derivations of u; finite_generators are bracket-preserving invertible
-    matrices generating a finite group.  validate_hull_data checks all of
-    this.
+    matrices generating a finite group.  hull_action_data returns data
+    that the hull construction has proved; validate_hull_data proves it
+    for supplied data, and report.model_stage runs it on them.
     """
 
     u: LieAlgebra
@@ -558,10 +558,11 @@ def enumerate_finite_group(generators: Sequence[Mat], bound: int = DEFAULT_FINIT
 
 
 def validate_hull_data(h: HullData, finite_bound: int = DEFAULT_FINITE_BOUND) -> None:
-    """Check all HullData invariants.
+    """Check all HullData invariants of supplied data, raising StructureError.
 
-    The finite group is enumerated up to finite_bound elements only to
-    certify that it is finite.
+    The pipeline runs this once, in report.model_stage, on hull data it
+    did not compute.  The finite group is enumerated up to finite_bound
+    elements only to certify that it is finite (PreconditionError past it).
     """
     if not is_nilpotent(h.u):
         raise StructureError("hull data needs a nilpotent algebra")

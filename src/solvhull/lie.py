@@ -131,12 +131,6 @@ class LieAlgebra:
                         out[k] += f * ck
         return tuple(out)
 
-    def index_of(self, name: str) -> int:
-        try:
-            return self.basis_names.index(name)
-        except ValueError:
-            raise KeyError(f"no basis vector named {name!r}") from None
-
 
 @dataclass(frozen=True)
 class Subspace:
@@ -201,12 +195,6 @@ def validate(g: LieAlgebra) -> Optional[Violation]:
                 if not is_zero_vec(s):
                     return Violation("jacobi", (i, j, k), s)
     return None
-
-
-def assert_valid(g: LieAlgebra) -> None:
-    v = validate(g)
-    if v is not None:
-        raise StructureError(v.describe(g.basis_names))
 
 
 def ad_matrix(g: LieAlgebra, x: Vec) -> Mat:

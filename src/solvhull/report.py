@@ -45,22 +45,22 @@ from .hull import (
     hull_action_data,
     recognize_split_form,
     unipotent_hull_abelian,
+    validate_hull_data,
 )
 from .lefschetz import LefschetzReport, SymplecticCheck, hard_lefschetz, verify_symplectic
 from .lie import (
     LieAlgebra,
+    Subspace,
     first_nonzero_bracket,
-    is_nilpotent,
     is_solvable,
-    nilradical,
     validate,
 )
 from .linalg import (
     Interval,
     Poly,
     Vec,
+    annihilates,
     char_poly,
-    is_semisimple_matrix,
     squarefree_part,
     sturm_real_roots_in,
 )
@@ -135,12 +135,13 @@ def type_one_check(h: HullData) -> TypeOneVerdict:
                 return TypeOneVerdict(
                     "not_certified", (),
                     f"torus derivations {a} and {b} do not commute")
-    for a, d in enumerate(h.torus_derivations):
-        if not is_semisimple_matrix(d):
+    polys = [char_poly(d) for d in h.torus_derivations]
+    for a, (d, p) in enumerate(zip(h.torus_derivations, polys)):
+        if not annihilates(squarefree_part(p), d):
             return TypeOneVerdict(
                 "not_certified", (), f"torus derivation {a} is not semisimple")
 
-    witnesses = tuple(_spectral_witness(a, char_poly(d)) for a, d in enumerate(h.torus_derivations))
+    witnesses = tuple(_spectral_witness(a, p) for a, p in enumerate(polys))
     if all(w.compatible for w in witnesses):
         return TypeOneVerdict("type_I", witnesses)
     return TypeOneVerdict("not_type_I", witnesses)
@@ -258,15 +259,17 @@ def model_stage(subject: Union[LieAlgebra, HullData], finite_bound: int) -> Opti
     """Hull, hull data and invariant model of a validated input.
 
     Returns None for an algebra that is not solvable (NOT_SOLVABLE is
-    the reason); hull data are checked by invariant_subcomplex.
+    the reason).  Supplied hull data are checked here, where they enter
+    the pipeline, by validate_hull_data; computed ones as they were built.
     """
     if isinstance(subject, HullData):
-        return ModelStage(subject, invariant_subcomplex(subject, finite_bound), None)
+        validate_hull_data(subject, finite_bound)
+        return ModelStage(subject, invariant_subcomplex(subject), None)
     if not is_solvable(subject):
         return None
     stage = hull_stage(subject)
     data = hull_action_data(stage.splittable)
-    return ModelStage(data, invariant_subcomplex(data, finite_bound), stage)
+    return ModelStage(data, invariant_subcomplex(data), stage)
 
 
 def input_complex(stage: ModelStage, g: LieAlgebra) -> CochainComplex:
@@ -347,13 +350,14 @@ def analyze(subject: Union[LieAlgebra, HullData],
     full = input_complex(stage, g)
     formality = formality_verdict(model, massey_depth)
     symplectic, lefschetz_report, skipped = lefschetz_stages(stage, full, omega)
-    nr = stage.hull.splittable.nilradical if stage.hull is not None else nilradical(g)
+    # hull data passed validate_hull_data in model_stage, so u is nilpotent
+    nr = stage.hull.splittable.nilradical if stage.hull is not None else Subspace.full(g)
     hull_abelian = first_nonzero_bracket(stage.data.u) is None
     type_one = type_one_check(stage.data)
     return AnalysisReport(
         kind, g.dim, g.basis_names, None,
         solvable=True,
-        nilpotent=is_nilpotent(g),
+        nilpotent=nr.dim == g.dim,
         nilradical_dim=nr.dim,
         nilradical_basis=nr.basis,
         hull_user_supplied=user_hull,

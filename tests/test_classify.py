@@ -1,22 +1,36 @@
 """Type-(I) spectra, Kaehler obstructions, and the analyze pipeline."""
 
+import random
 from fractions import Fraction as F
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from solvhull.cochain import ExteriorForm
+from solvhull.errors import StructureError
 from solvhull.fixtures import fixture
-from solvhull.hull import HullData, build_splittable_hull, hull_action_data
+from solvhull.hull import DEFAULT_FINITE_BOUND, HullData, build_splittable_hull, hull_action_data
 from solvhull.iodoc import algebra_of, hull_data_of, omega_of
+from solvhull.lie import Subspace, is_nilpotent
 from solvhull.linalg import Mat, Poly
 from solvhull.report import (
     LATTICE_ASSUMPTION,
     TypeOneVerdict,
     analyze,
     kahler_obstruction,
+    model_stage,
     type_one_check,
     verify_type_one_witness,
 )
 
-from conftest import almost_abelian_algebra, sl2
+from conftest import (
+    almost_abelian_algebra,
+    change_basis,
+    random_split_solvable,
+    random_unimodular,
+    sl2,
+)
 
 
 class TestTypeOne:
@@ -159,6 +173,18 @@ class TestAnalyze:
         b = report_payload(analyze(sol))
         assert a == b
 
+    @pytest.mark.parametrize("name, torus, message", [
+        ("sol", (), "hull data needs a nilpotent algebra"),
+        # the identity is not a derivation of the Heisenberg algebra
+        ("heisenberg", (Mat.diag([1, 1, 1]),), r"matrix is not a derivation at basis pair \(0, 1\)"),
+    ])
+    def test_invalid_hull_data_rejected_where_taken_in(self, name, torus, message):
+        h = HullData(algebra_of(fixture(name)), torus, ())
+        with pytest.raises(StructureError, match=message):
+            model_stage(h, DEFAULT_FINITE_BOUND)
+        with pytest.raises(StructureError, match=message):
+            analyze(h)
+
     def test_never_asserts_kahler_positively(self):
         # every reachable conclusion is an obstruction or a refusal
         for name in ("sol", "rotation", "heisenberg", "abelian",
@@ -167,3 +193,23 @@ class TestAnalyze:
             r = analyze(algebra_of(doc), omega=omega_of(doc))
             assert r.kahler.conclusion in (
                 "not_kahler", "no_obstruction", "criterion_inapplicable")
+
+
+NILPOTENT_FIXTURES = ("abelian", "heisenberg", "filiform4", "kodaira_thurston")
+
+
+def _fact_input(seed, source, rebase):
+    rng = random.Random(seed)
+    g = random_split_solvable(rng) if source == "split" else algebra_of(fixture(source))
+    if rebase:
+        g = change_basis(g, *random_unimodular(rng, g.dim))
+    return g
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.builds(_fact_input, st.integers(0, 2 ** 32),
+                 st.sampled_from(("split",) + NILPOTENT_FIXTURES), st.booleans()))
+def test_nilpotency_is_read_off_the_hull_nilradical(g):
+    nilpotent = is_nilpotent(g)
+    assert analyze(g).nilpotent == nilpotent
+    assert (build_splittable_hull(g).nilradical == Subspace.full(g)) == nilpotent

@@ -1,4 +1,5 @@
-"""Each artifact is built once per run: call counts of the pipeline stages.
+"""Each artifact is built once per run, and each fact proved once: call
+counts of the pipeline stages.
 
 The counted functions are replaced in every solvhull module that binds
 them (report, cli and formality import names directly, so patching the
@@ -12,14 +13,16 @@ import pytest
 
 from solvhull import cli, formality, report  # cli imports every module that binds a counted name
 from solvhull.fixtures import fixture
+from solvhull.hull import build_splittable_hull, hull_action_data
 from solvhull.iodoc import algebra_of, hull_data_of, omega_of
 
 COUNTED = {
-    "lie": ("nilradical",),
+    "lie": ("nilradical", "is_nilpotent"),
     "hull": ("build_splittable_hull", "validate_hull_data", "enumerate_finite_group"),
     "cochain": ("ce_complex",),
     "formality": ("invariant_subcomplex", "averaging_projector"),
     "report": ("analyze",),
+    "linalg": ("char_poly",),
 }
 
 
@@ -51,7 +54,8 @@ def test_algebra_analyze_builds_one_hull_and_one_model(calls):
     doc = fixture("complex_sol")
     report.analyze(algebra_of(doc), omega=omega_of(doc))
     assert calls["build_splittable_hull"] == 1
-    assert calls["validate_hull_data"] == 1
+    # computed hull data were checked as the hull was built
+    assert calls["validate_hull_data"] == 0
     # the algebra's own complex and the model's ambient (nilshadow) complex
     assert calls["ce_complex"] == 2
 
@@ -69,6 +73,26 @@ def test_hull_data_analyze_builds_one_complex(calls):
     report.analyze(hull_data_of(doc), omega=omega_of(doc))
     assert calls["ce_complex"] == 1
     assert calls["validate_hull_data"] == 1
+    # validate_hull_data proved u nilpotent, so u is its own nilradical
+    assert calls["nilradical"] == 0
+
+
+@pytest.mark.parametrize("name, most", [("complex_sol", 2), ("almost_abelian", 2), ("heisenberg", 1)])
+def test_analyze_reads_nilpotency_off_the_nilradical(calls, name, most):
+    # the nilshadow self-check, plus one per later Fitting round; g's own
+    # nilpotency is the hull's nilradical being all of g
+    doc = fixture(name)
+    report.analyze(algebra_of(doc), omega=omega_of(doc))
+    assert 1 <= calls["is_nilpotent"] <= most
+
+
+@pytest.mark.parametrize("name", ["sol", "complex_sol"])
+def test_type_one_check_takes_one_char_poly_per_derivation(calls, name):
+    data = hull_action_data(build_splittable_hull(algebra_of(fixture(name))))
+    calls.clear()
+    verdict = report.type_one_check(data)
+    assert verdict.status == "not_type_I"
+    assert calls["char_poly"] == len(data.torus_derivations) > 0
 
 
 def test_finite_invariants_read_the_generators_not_the_group(calls):

@@ -40,6 +40,7 @@ from solvhull.hull import (
 )
 from solvhull.iodoc import algebra_of, hull_data_of
 from solvhull.linalg import Mat, kernel_basis, row_space_basis, unit_vec
+from solvhull.report import model_stage
 
 from conftest import almost_abelian_algebra
 
@@ -126,7 +127,7 @@ class TestInvariantSubcomplex:
     def test_finite_bound_respected(self, heisenberg):
         h = HullData(heisenberg, (), (Mat.diag([1, -1, -1]),))
         with pytest.raises(PreconditionError):
-            invariant_subcomplex(h, finite_bound=1)
+            model_stage(h, 1)
 
 
 def _signed_perm(perm, signs):
