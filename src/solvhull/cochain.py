@@ -16,9 +16,8 @@ computed once per term of T.  Coefficients are scaled to integer numerators over
 common denominator per factor, only nonzero pairs are multiplied, and
 each nonzero output is reduced to a Fraction once.  The same kernel
 builds the differentials, the derivation and pullback matrices, and the
-ExteriorForm wedge.  Cohomology projections read coordinates from a
-linalg.Chart, one per degree for the pivot columns of
-[representatives | d_(k-1)].
+ExteriorForm wedge.  Each complex memoizes its cohomology, one
+elimination per degree, and its cup products.
 """
 
 from __future__ import annotations
@@ -177,10 +176,16 @@ class ComplexLike(Protocol):
     """What cohomology, cup products and the certificates read from a complex.
 
     CochainComplex and the invariant models implement it, and inherit
-    dims() and has_zero_differential() from it.
+    dims() and has_zero_differential() from it.  Each starts with two
+    empty caches: _coh_cache holds, per degree, the representatives, the
+    pivot columns of d_(k-1) and, once express() made it, the chart;
+    _cup_memo holds cup products by degrees and coefficients.  Neither
+    holds objects that point back at the complex.
     """
 
     dim: int
+    _coh_cache: dict[int, tuple[tuple[Vec, ...], tuple[int, ...], Optional[Chart]]]
+    _cup_memo: dict[tuple[int, Vec, int, Vec], Vec]
 
     def space_dim(self, k: int) -> int: ...
 
@@ -216,8 +221,8 @@ class CochainComplex(ComplexLike):
         self._bases = [tuple(combinations(range(n), k)) for k in range(n + 1)]
         self._masks = [tuple(_mask(idx) for idx in basis) for basis in self._bases]
         self._index = [{m: pos for pos, m in enumerate(masks)} for masks in self._masks]
-        self._coh_cache: dict[int, tuple[Vec, ...]] = {}
-        self._proj_cache: dict[int, tuple] = {}
+        self._coh_cache = {}
+        self._cup_memo = {}
         # d xi^k = - sum_{i<j} c_ij^k xi^i ^ xi^j
         d_one = [tuple(-algebra.c[i][j][k] for i, j in self.basis(2)) for k in range(n)]
         self._diff = [self.derivation_matrix(k, d_one, 2) for k in range(n + 1)]
@@ -359,7 +364,8 @@ class CohomologyBasis:
     reps are coordinate vectors of closed forms, linearly independent
     modulo exact forms, chosen deterministically from the kernel basis.
     express() writes any cocycle as a combination of the representatives
-    plus an explicit primitive for its exact part.
+    plus an explicit primitive for its exact part.  cohomology() makes
+    it; express() reads the complex's cache entry for the degree.
     """
 
     complex: ComplexLike
@@ -383,37 +389,32 @@ class CohomologyBasis:
         pivot columns of that matrix, its leftmost independent ones,
         carry a chart, and every other unknown is zero.
         """
-        pivots, chart, width = self._projection()
+        image_pivots, chart = self._projection()
         coords = chart.coords(v)
         if coords is None:
             raise PreconditionError("vector is not a cocycle in this degree")
-        sol = [_ZERO] * width
-        for p, c in zip(pivots, coords):
-            sol[p] = c
         nreps = len(self.reps)
-        return tuple(sol[:nreps]), tuple(sol[nreps:])
+        eta = [_ZERO] * self.complex.space_dim(self.degree - 1)
+        for p, c in zip(image_pivots, coords[nreps:]):
+            eta[p] = c
+        return coords[:nreps], tuple(eta)
 
-    def _projection(self) -> tuple[tuple[int, ...], Chart, int]:
-        """Pivot columns of [reps | d_(k-1)], their chart and the width.
+    def _projection(self) -> tuple[tuple[int, ...], Chart]:
+        """The image pivots cohomology() found and the chart they give.
 
-        A complex's ``_proj_cache`` keeps them per degree, next to the
-        representatives they were computed for.
+        The pivot columns of [reps | d_(k-1)] are every representative
+        (independent modulo the image) and the pivot columns of d_(k-1)
+        alone (the representatives meet the image only in 0).  The chart
+        is made once and kept in the degree's cache entry.
         """
         k = self.degree
-        cache = getattr(self.complex, "_proj_cache", None)
-        hit = cache.get(k) if cache is not None else None
-        if hit is not None and (hit[0] is self.reps or hit[0] == self.reps):
-            return hit[1]
-        nk = self.complex.space_dim(k)
-        cols = list(self.reps)
-        if k >= 1:
+        reps, image_pivots, chart = self.complex._coh_cache[k]
+        if chart is None:
             below = self.complex.dmat(k - 1)
-            cols.extend(below.col(j) for j in range(below.cols))
-        pivots = rref(Mat.from_cols(cols, rows=nk))[1] if cols else ()
-        projection = (pivots, Chart([cols[p] for p in pivots], nk), len(cols))
-        if cache is not None:
-            cache[k] = (self.reps, projection)
-        return projection
+            chart = Chart(list(reps) + [below.col(p) for p in image_pivots],
+                          self.complex.space_dim(k))
+            self.complex._coh_cache[k] = (reps, image_pivots, chart)
+        return image_pivots, chart
 
     def class_of(self, v: Vec) -> "CohomologyClass":
         coeffs, _ = self.express(v)
@@ -426,25 +427,23 @@ def cohomology(cx: ComplexLike, k: int) -> CohomologyBasis:
     Representatives are the kernel basis vectors, scanned in order, that
     are independent modulo the image of the previous differential and the
     representatives before them.  These are the pivot columns of
-    [d_(k-1) | cocycles] that fall among the cocycles, so one elimination
-    per degree finds them all.
-    A complex's ``_coh_cache`` keeps the representatives only: a cached
-    CohomologyBasis would point back at the complex and form a cycle.
+    [d_(k-1) | cocycles] that fall among the cocycles; the pivots among
+    d_(k-1) are kept for express(), so one elimination per degree
+    answers both.  The complex's _coh_cache keeps them.
     """
-    cache = getattr(cx, "_coh_cache", None)
-    if cache is not None and k in cache:
-        return CohomologyBasis(cx, k, cache[k])
-    nk = cx.space_dim(k)
-    cocycles = kernel_basis(cx.dmat(k)) if nk else []
-    image: list[Vec] = []
-    if k >= 1:
-        prev = cx.dmat(k - 1)
-        image = [prev.col(j) for j in range(prev.cols)]
-    pivots = rref(Mat.from_cols(image + cocycles, rows=nk))[1] if cocycles else ()
-    reps = tuple(cocycles[p - len(image)] for p in pivots if p >= len(image))
-    if cache is not None:
-        cache[k] = reps
-    return CohomologyBasis(cx, k, reps)
+    if k not in cx._coh_cache:
+        nk = cx.space_dim(k)
+        cocycles = kernel_basis(cx.dmat(k)) if nk else []
+        image: list[Vec] = []
+        if k >= 1:
+            prev = cx.dmat(k - 1)
+            image = [prev.col(j) for j in range(prev.cols)]
+        # no cocycles: the image, inside them, is zero and has no pivots
+        pivots = rref(Mat.from_cols(image + cocycles, rows=nk))[1] if cocycles else ()
+        n = len(image)
+        cx._coh_cache[k] = (tuple(cocycles[p - n] for p in pivots if p >= n),
+                            tuple(p for p in pivots if p < n), None)
+    return CohomologyBasis(cx, k, cx._coh_cache[k][0])
 
 
 def betti_numbers(cx: ComplexLike) -> tuple[int, ...]:
@@ -464,6 +463,9 @@ class CohomologyClass:
 
     def representative(self) -> Vec:
         reps = cohomology(self.complex, self.degree).reps
+        if len(self.coeffs) != len(reps):
+            raise PreconditionError(
+                f"{len(self.coeffs)} coefficients for H^{self.degree} of dimension {len(reps)}")
         out = [_ZERO] * self.complex.space_dim(self.degree)
         for c, rep in zip(self.coeffs, reps):
             if c:
@@ -480,11 +482,17 @@ class CohomologyClass:
 
 
 def cup(cx: ComplexLike, a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
-    """Cup product: wedge representatives and project back to cohomology."""
+    """Cup product: wedge representatives and project back to cohomology.
+
+    The complex's _cup_memo keeps each product's coefficients.
+    """
     k = a.degree + b.degree
-    target = cohomology(cx, k)
-    if k > cx.dim:
-        return CohomologyClass(cx, k, ())
-    prod = cx.wedge_coords(a.degree, a.representative(), b.degree, b.representative())
-    coeffs, _ = target.express(prod)
+    key = (a.degree, a.coeffs, b.degree, b.coeffs)
+    coeffs = cx._cup_memo.get(key)
+    if coeffs is None:
+        coeffs = ()
+        if k <= cx.dim:
+            prod = cx.wedge_coords(a.degree, a.representative(), b.degree, b.representative())
+            coeffs, _ = cohomology(cx, k).express(prod)
+        cx._cup_memo[key] = coeffs
     return CohomologyClass(cx, k, coeffs)

@@ -1,13 +1,13 @@
 """Invariant subcomplexes and formality certificates.
 
-The invariant model intersects two fixed-point computations on each
-exterior degree: the joint kernel of the torus derivations (extended to
-forms as degree-zero derivations) and the joint fixed space of the
-pullbacks of the finite group's generators.  A form is fixed by the group
-exactly when every generator fixes it.  The hull data arrive proved (by the
-hull construction, or by validate_hull_data where the pipeline takes them
-in); the result is checked to be a subcomplex closed under wedge before
-any verdict is issued.
+The invariant model is one joint kernel on each exterior degree: of the
+torus derivations (extended to forms as degree-zero derivations) and of
+g* - I for the pullbacks g* of the finite group's generators, since a
+form is fixed by the group exactly when every generator fixes it.  The
+hull data arrive proved (by the hull construction, or by
+validate_hull_data where the pipeline takes them in); the result is
+checked to be a subcomplex closed under wedge before any verdict is
+issued.
 
 Formality itself is certified only through the sound route: a vanishing
 restricted differential.  Obstructions come from triple Massey products;
@@ -65,7 +65,7 @@ def averaging_projector(cx: CochainComplex, group: Sequence[Mat], k: int) -> Mat
     """(1/|G|) sum of the pullbacks over the whole finite group.
 
     Its image is the group's fixed space.  The pipeline reads that space
-    from the generators instead (fixed_space_basis); this sum over all of
+    from the generators instead (invariant_basis); this sum over all of
     G is the reference the tests compare against.
     """
     nk = cx.space_dim(k)
@@ -78,26 +78,20 @@ def averaging_projector(cx: CochainComplex, group: Sequence[Mat], k: int) -> Mat
     return proj
 
 
-def torus_invariant_basis(cx: CochainComplex, derivations: Sequence[Mat], k: int) -> list[Vec]:
-    """Joint kernel of the derivation actions on degree k."""
+def invariant_basis(cx: CochainComplex, derivations: Sequence[Mat],
+                    pullbacks: Sequence[Mat], k: int) -> list[Vec]:
+    """Canonical basis of the k-forms each derivation kills and each pullback fixes.
+
+    One kernel of the derivations' extension rows stacked with the rows
+    of g* - I for each pullback; with no rows, the whole space.
+    """
     nk = cx.space_dim(k)
-    rows = [row for d in derivations
-            for row in derivation_extension_matrix(cx, d, k).entries]
+    rows = [row for d in derivations for row in derivation_extension_matrix(cx, d, k).entries]
+    if pullbacks:
+        ident = Mat.identity(nk)
+        rows += [row for p in pullbacks for row in (p - ident).entries]
     if not rows:
         return [unit_vec(nk, i) for i in range(nk)]
-    return kernel_basis(Mat.from_rows(rows, cols=nk))
-
-
-def fixed_space_basis(pullbacks: Sequence[Mat], within: Sequence[Vec], nk: int) -> list[Vec]:
-    """Canonical basis of the vectors in span(within) fixed by every pullback.
-
-    kernel_basis depends on the kernel only: the span is cut out by its
-    annihilator, then each pullback adds the rows of g* - I.
-    """
-    rows = kernel_basis(Mat.from_rows(within, cols=nk))
-    ident = Mat.identity(nk)
-    for p in pullbacks:
-        rows.extend((p - ident).entries)
     return kernel_basis(Mat.from_rows(rows, cols=nk))
 
 
@@ -111,24 +105,18 @@ class InvariantComplex(ComplexLike):
 
     Each degree has a Chart of its sub-basis: sub-coordinates are read
     off where the sub-basis is invertible and confirmed by lifting back,
-    so restriction never solves a system.  Without given differentials
-    the restricted ones are computed, which checks that the sub-bases
-    are closed under d.
+    so restriction never solves a system.  The restricted differentials
+    are computed, which checks that the sub-bases are closed under d.
     """
 
-    def __init__(self, ambient: CochainComplex, sub_bases: Sequence[tuple[Vec, ...]],
-                 dmats: Optional[Sequence[Mat]] = None):
+    def __init__(self, ambient: CochainComplex, sub_bases: Sequence[tuple[Vec, ...]]):
         self.ambient = ambient
         self.dim = ambient.dim
         self._sub = [tuple(b) for b in sub_bases]
         self._charts = [Chart(b, ambient.space_dim(k)) for k, b in enumerate(self._sub)]
-        self._coh_cache: dict[int, tuple[Vec, ...]] = {}
-        self._proj_cache: dict[int, tuple] = {}
-        # cup products of cohomology classes, by degrees and coefficients
-        self._cup_memo: dict[tuple[int, Vec, int, Vec], Vec] = {}
-        if dmats is None:
-            dmats = [self._restricted_differential(k) for k in range(self.dim + 1)]
-        self._dmats = list(dmats)
+        self._coh_cache = {}
+        self._cup_memo = {}
+        self._dmats = [self._restricted_differential(k) for k in range(self.dim + 1)]
 
     def sub_basis(self, k: int) -> tuple[Vec, ...]:
         if not 0 <= k <= self.dim:
@@ -204,24 +192,23 @@ def invariant_subcomplex(h: HullData) -> InvariantComplex:
     """Forms fixed by the torus derivations and the finite group.
 
     h must come from hull_action_data or have passed validate_hull_data;
-    its invariants are not checked again here.  Torus invariance is the
-    joint kernel of the generating derivations; finite invariance is the
-    joint fixed space of the generators' pullbacks, checked degree by
-    degree.  The intersection is verified to be closed under the
-    differential and the wedge product.
+    its invariants are not checked again here.  Each degree is one joint
+    kernel: the torus derivations' extensions and g* - I for the finite
+    group's generators g (a form is fixed by the group exactly when
+    every generator fixes it).  Every generator is checked to fix the
+    result, degree zero to be the constants, and the model to be closed
+    under the differential and the wedge product.
     """
     cx = ce_complex(h.u)
     n = cx.dim
 
     sub_bases: list[tuple[Vec, ...]] = []
     for k in range(n + 1):
-        basis = torus_invariant_basis(cx, h.torus_derivations, k)
-        if h.finite_generators:
-            pullbacks = [pullback_matrix(cx, s, k) for s in h.finite_generators]
-            basis = fixed_space_basis(pullbacks, basis, cx.space_dim(k))
-            if any(p.apply(v) != v for p in pullbacks for v in basis):
-                raise InternalCheckError(
-                    f"invariant model in degree {k} is not fixed by every finite generator")
+        pullbacks = [pullback_matrix(cx, s, k) for s in h.finite_generators]
+        basis = invariant_basis(cx, h.torus_derivations, pullbacks, k)
+        if any(p.apply(v) != v for p in pullbacks for v in basis):
+            raise InternalCheckError(
+                f"invariant model in degree {k} is not fixed by every finite generator")
         sub_bases.append(tuple(basis))
 
     if len(sub_bases[0]) != 1:
@@ -289,9 +276,9 @@ def massey_triple(ic: ComplexLike, a: CohomologyClass, b: CohomologyClass,
     vanishes exactly when its class lies in a.H + H.c.
     """
     p, q, s = a.degree, b.degree, c.degree
-    if not _cup(ic, a, b).is_zero():
+    if not cup(ic, a, b).is_zero():
         return MasseyResult("precondition_violation", detail="cup(a, b) is nonzero")
-    if not _cup(ic, b, c).is_zero():
+    if not cup(ic, b, c).is_zero():
         return MasseyResult("precondition_violation", detail="cup(b, c) is nonzero")
 
     ra, rb, rc = a.representative(), b.representative(), c.representative()
@@ -314,11 +301,11 @@ def massey_triple(ic: ComplexLike, a: CohomologyClass, b: CohomologyClass,
 
     indet: list[Vec] = []
     for h in _basis_classes(ic, q + s - 1):
-        v = _cup(ic, a, h).coeffs
+        v = cup(ic, a, h).coeffs
         if not is_zero_vec(v):
             indet.append(v)
     for h in _basis_classes(ic, p + q - 1):
-        v = _cup(ic, h, c).coeffs
+        v = cup(ic, h, c).coeffs
         if not is_zero_vec(v):
             indet.append(v)
 
@@ -327,22 +314,6 @@ def massey_triple(ic: ComplexLike, a: CohomologyClass, b: CohomologyClass,
     if _in_coeff_span(indet, rho):
         return MasseyResult("vanishes", witness)
     return MasseyResult("nonvanishing", witness)
-
-
-def _cup(ic: ComplexLike, a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
-    """cup(ic, a, b), remembered in the complex by degrees and coefficients.
-
-    The memo holds coefficient tuples only, never classes that point
-    back at the complex.
-    """
-    memo = getattr(ic, "_cup_memo", None)
-    if memo is None:
-        return cup(ic, a, b)
-    key = (a.degree, a.coeffs, b.degree, b.coeffs)
-    coeffs = memo.get(key)
-    if coeffs is None:
-        coeffs = memo[key] = cup(ic, a, b).coeffs
-    return CohomologyClass(ic, a.degree + b.degree, coeffs)
 
 
 def _basis_classes(ic: ComplexLike, k: int) -> list[CohomologyClass]:
@@ -361,8 +332,19 @@ def _in_coeff_span(vectors: Sequence[Vec], v: Vec) -> bool:
 
 
 def verify_massey_witness(ic: ComplexLike, w: MasseyWitness, expect_vanishing: bool) -> bool:
-    """Independent re-check of a Massey witness from its raw data."""
+    """Independent re-check of a Massey witness from its raw data.
+
+    A witness vector of the wrong length for its degree fails the check.
+    """
     p, q, s = w.degrees
+    deg_r = p + q + s - 1
+    betti = {k: cohomology(ic, k).betti for k in (p, q, s, deg_r)}
+    lengths = [(w.a, betti[p]), (w.b, betti[q]), (w.c, betti[s]), (w.rep_class, betti[deg_r]),
+               (w.x, ic.space_dim(p + q - 1)), (w.y, ic.space_dim(q + s - 1)),
+               (w.representative, ic.space_dim(deg_r))]
+    lengths += [(v, betti[deg_r]) for v in w.indeterminacy]
+    if any(len(v) != n for v, n in lengths):
+        return False
     a = CohomologyClass(ic, p, w.a)
     b = CohomologyClass(ic, q, w.b)
     c = CohomologyClass(ic, s, w.c)
@@ -371,7 +353,6 @@ def verify_massey_witness(ic: ComplexLike, w: MasseyWitness, expect_vanishing: b
         return False
     if ic.dmat(q + s - 1).apply(w.y) != ic.wedge_coords(q, rb, s, rc):
         return False
-    deg_r = p + q + s - 1
     sign = -1 if (p + 1) % 2 else 1
     r = vadd(ic.wedge_coords(p, ra, q + s - 1, w.y),
              vscale(sign, ic.wedge_coords(p + q - 1, w.x, s, rc)))

@@ -19,6 +19,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence, TypeVar, Union
 
+from .errors import InternalCheckError
+
 QQ = Fraction
 K = TypeVar("K")
 _ZERO = Fraction(0)
@@ -441,6 +443,8 @@ class Chart:
             inverse = [[(i, Fraction(self._basis_den, x))] for i, (_, x) in enumerate(owned)]
         else:
             rows = list(rref(Mat.from_rows(basis, cols=n))[1])
+            if len(rows) != b:
+                raise InternalCheckError("chart vectors are linearly dependent")
             # [block | I] reduces to [I | block^-1]
             red = rref(Mat.from_rows([tuple(v[r] for r in rows) + unit_vec(b, i)
                                       for i, v in enumerate(basis)]))[0]

@@ -275,10 +275,10 @@ def model_stage(subject: Union[LieAlgebra, HullData], finite_bound: int) -> Opti
 def input_complex(stage: ModelStage, g: LieAlgebra) -> CochainComplex:
     """The input algebra's own CE complex.
 
-    Hull data are their own unipotent algebra, so the model's ambient
-    complex is reused rather than built again.
+    Hull data and nilpotent algebras are their own unipotent algebra,
+    so the model's ambient complex is reused rather than built again.
     """
-    return stage.model.ambient if stage.hull is None else ce_complex(g)
+    return stage.model.ambient if stage.data.u == g else ce_complex(g)
 
 
 def lefschetz_stages(stage: Optional[ModelStage], full: Optional[CochainComplex],

@@ -11,8 +11,9 @@ from collections import Counter
 
 import pytest
 
-from solvhull import cli, formality, report  # cli imports every module that binds a counted name
+from solvhull import cli, cochain, formality, report  # cli imports every module that binds a counted name
 from solvhull.fixtures import fixture
+from solvhull.cochain import ce_complex, cohomology
 from solvhull.hull import build_splittable_hull, hull_action_data
 from solvhull.iodoc import algebra_of, hull_data_of, omega_of
 
@@ -66,6 +67,44 @@ def test_algebra_analyze_computes_one_nilradical(calls, name):
     doc = fixture(name)
     report.analyze(algebra_of(doc), omega=omega_of(doc))
     assert calls["nilradical"] == 1
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "kodaira_thurston", "filiform4"])
+def test_nilpotent_analyze_builds_one_complex(calls, name):
+    # a nilpotent algebra is its own nilshadow, so the model's ambient
+    # complex is the algebra's own
+    doc = fixture(name)
+    report.analyze(algebra_of(doc), omega=omega_of(doc))
+    assert calls["ce_complex"] == 1
+
+
+def test_cohomology_and_express_take_one_elimination_per_degree(monkeypatch):
+    # express reads the image pivots off cohomology's own elimination
+    cx = ce_complex(algebra_of(fixture("heisenberg")))
+    counts = Counter()
+    monkeypatch.setattr(cochain, "rref", _counting(counts, "rref", cochain.rref))
+    for k in range(cx.dim + 1):
+        basis = cohomology(cx, k)
+        for i, rep in enumerate(basis.reps):
+            coeffs, _ = basis.express(rep)
+            assert coeffs == tuple(int(j == i) for j in range(basis.betti))
+    assert counts["rref"] == cx.dim + 1
+
+
+@pytest.mark.parametrize("name, per_degree", [("twisted_kodaira_thurston", 1), ("heisenberg", 0)])
+def test_invariant_model_takes_one_kernel_per_degree(monkeypatch, name, per_degree):
+    # torus and generator constraints in one joint kernel; none at all
+    # for a nilpotent algebra's computed hull data
+    doc = fixture(name)
+    if doc.hull_override is not None:
+        data = hull_data_of(doc)
+    else:
+        data = hull_action_data(build_splittable_hull(algebra_of(doc)))
+    counts = Counter()
+    monkeypatch.setattr(formality, "kernel_basis",
+                        _counting(counts, "kernel_basis", formality.kernel_basis))
+    ic = formality.invariant_subcomplex(data)
+    assert counts["kernel_basis"] == per_degree * (ic.dim + 1)
 
 
 def test_hull_data_analyze_builds_one_complex(calls):

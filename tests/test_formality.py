@@ -2,6 +2,7 @@
 
 import functools
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from math import factorial
 
@@ -23,12 +24,11 @@ from solvhull.formality import (
     averaging_projector,
     certify_formal_if_zero_differential,
     derivation_extension_matrix,
-    fixed_space_basis,
     formality_verdict,
+    invariant_basis,
     invariant_subcomplex,
     massey_triple,
     pullback_matrix,
-    torus_invariant_basis,
     verify_formality_verdict,
     verify_massey_witness,
 )
@@ -90,7 +90,7 @@ class TestInvariantSubcomplex:
         group = enumerate_finite_group([Mat.diag([1, -1, -1, 1])])
         for k in range(5):
             nk = cx.space_dim(k)
-            torus = torus_invariant_basis(cx, [d], k)
+            torus = invariant_basis(cx, [d], [], k)
             proj = averaging_projector(cx, group, k)
             ident = Mat.identity(nk)
             fixed = kernel_basis(Mat.from_rows(list((proj - ident).entries), cols=nk))
@@ -184,7 +184,7 @@ def _averaging_reference(h):
         nk = cx.space_dim(k)
         rows = list((averaging_projector(cx, group, k) - Mat.identity(nk)).entries)
         fixed.append(kernel_basis(Mat.from_rows(rows, cols=nk)))
-        torus = torus_invariant_basis(cx, h.torus_derivations, k)
+        torus = invariant_basis(cx, h.torus_derivations, [], k)
         rows += kernel_basis(Mat.from_rows(torus, cols=nk))
         model.append(tuple(kernel_basis(Mat.from_rows(rows, cols=nk))))
     return frozenset(group), fixed, model
@@ -205,10 +205,8 @@ def _check_generators_match(h, reference):
     assert frozenset(enumerate_finite_group(h.finite_generators)) == group
     cx = ce_complex(h.u)
     for k in range(cx.dim + 1):
-        nk = cx.space_dim(k)
         pullbacks = [pullback_matrix(cx, s, k) for s in h.finite_generators]
-        units = [unit_vec(nk, i) for i in range(nk)]
-        assert fixed_space_basis(pullbacks, units, nk) == fixed[k]
+        assert invariant_basis(cx, [], pullbacks, k) == fixed[k]
     ic = invariant_subcomplex(h)
     assert [ic.sub_basis(k) for k in range(cx.dim + 1)] == model
 
@@ -233,10 +231,11 @@ class TestGeneratorFixedSpace:
     def test_corrupted_fixed_space_is_an_internal_error(self, monkeypatch, capsys):
         # the whole space in place of the fixed space: the generator
         # negates x2, so the check fails in degree 1
-        def whole_space(pullbacks, within, nk):
+        def whole_space(cx, derivations, pullbacks, k):
+            nk = cx.space_dim(k)
             return [unit_vec(nk, i) for i in range(nk)]
 
-        monkeypatch.setattr(formality, "fixed_space_basis", whole_space)
+        monkeypatch.setattr(formality, "invariant_basis", whole_space)
         doc = fixture("twisted_kodaira_thurston")
         with pytest.raises(InternalCheckError, match="degree 1 is not fixed"):
             invariant_subcomplex(hull_data_of(doc))
@@ -290,6 +289,33 @@ class TestMassey:
         assert all(x == 0 for x in w.x)
         assert ic.form(1, w.y) == ExteriorForm.monomial((2,), -1)
         assert verify_massey_witness(ic, w, expect_vanishing=False)
+
+    @pytest.mark.parametrize("tamper", [
+        lambda w: replace(w, b=w.b + (F(1),)),
+        lambda w: replace(w, a=w.a + (F(9),)),
+        lambda w: replace(w, a=w.a[:1]),
+        lambda w: replace(w, c=w.c[:1]),
+        lambda w: replace(w, rep_class=w.rep_class + (F(0),)),
+        lambda w: replace(w, indeterminacy=((F(1),),)),
+        lambda w: replace(w, x=w.x + (F(0),)),
+        lambda w: replace(w, y=w.y[:-1]),
+        lambda w: replace(w, representative=w.representative + (F(0),)),
+    ], ids=["b_extra_nonzero", "a_extra", "a_cut", "c_cut", "rep_class_extra",
+            "indeterminacy_short", "x_extra", "y_cut", "representative_extra"])
+    def test_witness_of_the_wrong_shape_fails(self, heisenberg, tamper):
+        ic = invariant_subcomplex(hull_action_data(build_splittable_hull(heisenberg)))
+        verdict = formality_verdict(ic)
+        assert verdict.status == "obstructed_nonformal"
+        assert verify_formality_verdict(ic, verdict)
+        bad = tamper(verdict.witness)
+        assert not verify_massey_witness(ic, bad, expect_vanishing=False)
+        assert not verify_formality_verdict(ic, replace(verdict, witness=bad))
+
+    def test_class_of_the_wrong_length_has_no_representative(self, heisenberg):
+        ic = ce_complex(heisenberg)
+        for coeffs in ((F(1),), (F(1), F(0), F(9))):
+            with pytest.raises(PreconditionError, match="H\\^1 of dimension 2"):
+                CohomologyClass(ic, 1, coeffs).representative()
 
     def test_zero_differential_always_vanishes(self, sol):
         ic = invariant_subcomplex(hull_action_data(build_splittable_hull(sol)))

@@ -25,7 +25,6 @@ from solvhull.cochain import (
     betti_numbers,
     ce_complex,
     cohomology,
-    cup,
     wedge,
 )
 from solvhull.errors import InternalCheckError, PreconditionError, StructureError
@@ -41,6 +40,7 @@ from solvhull.hull import build_splittable_hull, hull_action_data
 from solvhull.iodoc import algebra_of, hull_data_of, omega_of
 from solvhull.lie import LieAlgebra, ad_matrix, nilradical
 from solvhull.linalg import (
+    Chart,
     Mat,
     in_row_space,
     kernel_basis,
@@ -214,6 +214,10 @@ class TestInvariantChart:
         assert ic.restrict(1, (F(2), F(3))) == (F(1), F(1))
         assert ic.lift(1, (F(1), F(1))) == (F(2), F(3))
         assert ic.restrict(2, (F(6),)) == (F(2),)
+
+    def test_dependent_vectors_are_an_internal_error(self):
+        with pytest.raises(InternalCheckError, match="linearly dependent"):
+            Chart([(F(1), F(1), F(0)), (F(2), F(2), F(0))], 3)
 
 
 def dense_nilradical_basis(g):
@@ -533,11 +537,15 @@ class TestExpress:
 
 @pytest.mark.parametrize("name", ["heisenberg", "filiform4", "kodaira_thurston"])
 def test_cup_memo_matches_fresh_cup_products(name):
+    # cup reads the memo, so the products are recomputed here from the
+    # representatives' wedge
     ic = invariant_subcomplex(hull_action_data(build_splittable_hull(algebra_of(fixture(name)))))
     formality_verdict(ic)
     assert ic._cup_memo
     for (p, a, q, b), coeffs in ic._cup_memo.items():
-        assert coeffs == cup(ic, CohomologyClass(ic, p, a), CohomologyClass(ic, q, b)).coeffs
+        prod = ic.wedge_coords(p, CohomologyClass(ic, p, a).representative(),
+                               q, CohomologyClass(ic, q, b).representative())
+        assert coeffs == cohomology(ic, p + q).express(prod)[0]
 
 
 def test_model_closed_under_d_but_not_wedge():
