@@ -17,7 +17,6 @@ from .cochain import (
     cohomology,
     cup,
     wedge,
-    wedge_power,
 )
 from .errors import InternalCheckError, PreconditionError, SolvhullError, StructureError
 from .formality import (

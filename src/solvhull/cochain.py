@@ -165,13 +165,6 @@ def wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
                         tuple(sorted((_indices(m), c) for m, c in out.items() if c)))
 
 
-def wedge_power(a: ExteriorForm, k: int) -> ExteriorForm:
-    out = ExteriorForm.monomial(())
-    for _ in range(k):
-        out = wedge(out, a)
-    return out
-
-
 class ComplexLike(Protocol):
     """What cohomology, cup products and the certificates read from a complex.
 

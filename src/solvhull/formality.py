@@ -83,13 +83,13 @@ def invariant_basis(cx: CochainComplex, derivations: Sequence[Mat],
     """Canonical basis of the k-forms each derivation kills and each pullback fixes.
 
     One kernel of the derivations' extension rows stacked with the rows
-    of g* - I for each pullback; with no rows, the whole space.
+    of g* - I for each pullback, read off g*'s own rows with 1 taken
+    from the diagonal; with no rows, the whole space.
     """
     nk = cx.space_dim(k)
     rows = [row for d in derivations for row in derivation_extension_matrix(cx, d, k).entries]
-    if pullbacks:
-        ident = Mat.identity(nk)
-        rows += [row for p in pullbacks for row in (p - ident).entries]
+    rows += [row[:i] + (row[i] - 1,) + row[i + 1:]
+             for p in pullbacks for i, row in enumerate(p.entries)]
     if not rows:
         return [unit_vec(nk, i) for i in range(nk)]
     return kernel_basis(Mat.from_rows(rows, cols=nk))
@@ -261,10 +261,6 @@ class MasseyResult:
     status: str  # "vanishes" | "nonvanishing" | "precondition_violation"
     witness: Optional[MasseyWitness] = None
     detail: str = ""
-
-    @property
-    def vanishes(self) -> bool:
-        return self.status == "vanishes"
 
 
 def massey_triple(ic: ComplexLike, a: CohomologyClass, b: CohomologyClass,

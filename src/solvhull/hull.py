@@ -141,34 +141,6 @@ def _semisimple_derivation_unchecked(g: LieAlgebra, x: Vec) -> Mat:
     return d
 
 
-def semisimple_parts_add_on_nilradical(
-    g: LieAlgebra,
-    nr: Subspace,
-    d_mats: Optional[Sequence[Mat]] = None,
-) -> bool:
-    """Check d_{e_i + e_j} = d_{e_i} + d_{e_j} as operators on the nilradical.
-
-    The semisimple parts of two adjoints need not add as full matrices
-    (ad of a sum can already be semisimple while the summands' parts are
-    not its decomposition), but restricted to the nilradical the adjoint
-    actions commute whenever the construction applies, and commuting
-    operators have additive semisimple parts.  This is the exact content
-    used by the splittable hull.
-    """
-    n = g.dim
-    if d_mats is None:
-        d_mats = [jordan_chevalley(ad_matrix(g, unit_vec(n, i))).s for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            x = vadd(unit_vec(n, i), unit_vec(n, j))
-            d_sum = jordan_chevalley(ad_matrix(g, x)).s
-            expected = d_mats[i] + d_mats[j]
-            for v in nr.basis:
-                if d_sum.apply(v) != expected.apply(v):
-                    return False
-    return True
-
-
 def _induced_subalgebra(g: LieAlgebra, rows: Sequence[Vec]) -> LieAlgebra:
     """Bracket of g restricted to a subalgebra, in the given basis rows."""
     k = len(rows)

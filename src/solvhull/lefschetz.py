@@ -1,10 +1,11 @@
 """Symplectic cocycles and the hard Lefschetz property on invariant models.
 
-The Lefschetz maps are cup products with powers of the symplectic class,
-computed as exact rank problems on the model's cohomology.  On models
-with vanishing differential the direct rank computation is cross-checked
-against the classical argument (injectivity of the wedge map on
-invariant forms plus equality of paired Betti numbers); the two routes
+omega is restricted once and its powers are built in the complex's
+coordinates.  The Lefschetz maps are cup products with them, computed
+as exact rank problems on the model's cohomology.  On models with
+vanishing differential the direct rank computation is cross-checked,
+on the same products, against injectivity of the wedge map on
+invariant forms plus equality of paired Betti numbers; the two routes
 must agree or the check aborts.  Every check takes a ComplexLike: the
 pipeline checks omega on the input algebra's own complex and on the
 invariant model.
@@ -16,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .cochain import CohomologyBasis, ComplexLike, ExteriorForm, cohomology, wedge_power
+from .cochain import CohomologyBasis, ComplexLike, ExteriorForm, cohomology
 from .errors import InternalCheckError, PreconditionError
-from .linalg import Mat, is_zero_vec, rank, unit_vec
+from .linalg import Mat, Vec, is_zero_vec, rank
 
 
 @dataclass(frozen=True)
@@ -36,18 +37,26 @@ class SymplecticCheck:
 
 
 def verify_symplectic(ic: ComplexLike, omega: ExteriorForm) -> SymplecticCheck:
-    """Check d(omega) = 0 and omega^n != 0 on a 2n-dimensional model."""
+    """Check d(omega) = 0 and omega^n != 0 on a 2n-dimensional model, in its coordinates."""
     if ic.dim % 2 != 0:
         raise PreconditionError("symplectic checks need an even-dimensional model")
     if omega.degree != 2:
         raise PreconditionError("a symplectic candidate must have degree 2")
+    powers = _omega_powers(ic, omega)
+    n = ic.dim // 2
+    closed = is_zero_vec(ic.dmat(2).apply(powers[1]))
+    return SymplecticCheck(omega, n, closed, not is_zero_vec(powers[n]))
+
+
+def _omega_powers(ic: ComplexLike, omega: ExteriorForm) -> list[Vec]:
+    """omega^0 ... omega^n in the complex's coordinates, omega restricted once."""
     coords = ic.restrict_form(omega)
     if coords is None:
         raise PreconditionError("the 2-form does not lie in the invariant model")
-    n = ic.dim // 2
-    closed = is_zero_vec(ic.dmat(2).apply(coords))
-    top = wedge_power(omega, n)
-    return SymplecticCheck(omega, n, closed, not top.is_zero())
+    powers = [ic.restrict_form(ExteriorForm.monomial(())), coords]
+    for k in range(1, ic.dim // 2):
+        powers.append(ic.wedge_coords(2 * k, powers[k], 2, coords))
+    return powers
 
 
 @dataclass(frozen=True)
@@ -73,8 +82,10 @@ def hard_lefschetz(ic: ComplexLike, omega: ExteriorForm,
                    check: Optional[SymplecticCheck] = None) -> LefschetzReport:
     """Test whether cup with [omega^(n-i)] is an isomorphism for all i <= n.
 
-    On zero-differential models the verdict is re-derived through
-    injectivity of the wedge map on invariant forms together with the
+    Each representative of H^i is wedged with omega^(n-i) once.  On
+    zero-differential models, where H^i must have space_dim(i) classes,
+    these products are also the columns of the wedge map on forms: the
+    verdict is re-derived through its injectivity together with the
     Poincare pairing, and both routes must agree exactly.
     """
     if check is None:
@@ -82,34 +93,25 @@ def hard_lefschetz(ic: ComplexLike, omega: ExteriorForm,
     if not check.symplectic:
         raise PreconditionError("hard Lefschetz needs a verified symplectic form")
     n = ic.dim // 2
+    powers = _omega_powers(ic, omega)
     zero_diff = ic.has_zero_differential()
     top = cohomology(ic, ic.dim) if zero_diff else None
 
     degrees = []
     all_iso = True
     for i in range(n + 1):
-        power_form = wedge_power(omega, n - i)
-        power_coords = ic.restrict_form(power_form)
-        if power_coords is None:
-            raise InternalCheckError("omega power escapes the invariant model")
         hi = cohomology(ic, i)
         htarget = cohomology(ic, 2 * n - i)
-        cols = []
-        for rep in hi.reps:
-            prod = ic.wedge_coords(i, rep, 2 * (n - i), power_coords)
-            coeffs, _ = htarget.express(prod)
-            cols.append(coeffs)
-        matrix = Mat.from_cols(cols, rows=htarget.betti)
+        prods = [ic.wedge_coords(i, rep, 2 * (n - i), powers[n - i]) for rep in hi.reps]
+        matrix = Mat.from_cols([htarget.express(p)[0] for p in prods], rows=htarget.betti)
         iso = hi.betti == htarget.betti and rank(matrix) == hi.betti
 
         injective = None
         perfect = None
         if zero_diff:
-            ni = ic.space_dim(i)
-            form_cols = [ic.wedge_coords(i, unit_vec(ni, j), 2 * (n - i), power_coords)
-                         for j in range(ni)]
-            fmat = Mat.from_cols(form_cols, rows=ic.space_dim(2 * n - i))
-            injective = rank(fmat) == ni
+            if hi.betti != ic.space_dim(i):
+                raise InternalCheckError(f"H^{i} has {hi.betti} classes, not {ic.space_dim(i)}")
+            injective = rank(Mat.from_cols(prods, rows=ic.space_dim(2 * n - i))) == hi.betti
             perfect = _degree_pairing(ic, top, i).perfect
             predicted = injective and hi.betti == htarget.betti
             if predicted != iso:

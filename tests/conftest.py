@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Optional, Sequence
 
 import pytest
 
 from solvhull import LieAlgebra, Mat
 from solvhull.fixtures import fixture
+from solvhull.hull import jordan_chevalley
 from solvhull.iodoc import algebra_of
-from solvhull.linalg import unit_vec, zero_vec
+from solvhull.lie import Subspace, ad_matrix
+from solvhull.linalg import unit_vec, vadd, zero_vec
 
 
 @pytest.fixture
@@ -140,3 +143,31 @@ def random_split_solvable(rng: random.Random, max_block_pairs: int = 2) -> LieAl
     g = LieAlgebra.from_brackets(dim, brackets)
     p, p_inv = random_unimodular(rng, dim)
     return change_basis(g, p, p_inv)
+
+
+def semisimple_parts_add_on_nilradical(
+    g: LieAlgebra,
+    nr: Subspace,
+    d_mats: Optional[Sequence[Mat]] = None,
+) -> bool:
+    """Check d_{e_i + e_j} = d_{e_i} + d_{e_j} as operators on the nilradical.
+
+    The semisimple parts of two adjoints need not add as full matrices
+    (ad of a sum can already be semisimple while the summands' parts are
+    not its decomposition), but restricted to the nilradical the adjoint
+    actions commute whenever the construction applies, and commuting
+    operators have additive semisimple parts.  This is the exact content
+    used by the splittable hull.
+    """
+    n = g.dim
+    if d_mats is None:
+        d_mats = [jordan_chevalley(ad_matrix(g, unit_vec(n, i))).s for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = vadd(unit_vec(n, i), unit_vec(n, j))
+            d_sum = jordan_chevalley(ad_matrix(g, x)).s
+            expected = d_mats[i] + d_mats[j]
+            for v in nr.basis:
+                if d_sum.apply(v) != expected.apply(v):
+                    return False
+    return True

@@ -27,7 +27,6 @@ from solvhull.hull import (
     hull_action_data,
     jordan_chevalley,
     recognize_split_form,
-    semisimple_parts_add_on_nilradical,
     unipotent_hull_abelian,
 )
 from solvhull.iodoc import algebra_of, hull_data_of, omega_of
@@ -46,7 +45,7 @@ from solvhull.linalg import (
 )
 from solvhull.report import LATTICE_ASSUMPTION, analyze
 
-from conftest import jordan_suite_matrices
+from conftest import jordan_suite_matrices, semisimple_parts_add_on_nilradical
 
 ALGEBRA_FIXTURES = ("abelian", "heisenberg", "sol", "rotation", "filiform4",
                     "kodaira_thurston", "almost_abelian", "complex_sol")

@@ -11,16 +11,18 @@ from collections import Counter
 
 import pytest
 
-from solvhull import cli, cochain, formality, report  # cli imports every module that binds a counted name
+# cli imports every module that binds a counted name
+from solvhull import cli, cochain, formality, lefschetz, report
 from solvhull.fixtures import fixture
 from solvhull.cochain import ce_complex, cohomology
 from solvhull.hull import build_splittable_hull, hull_action_data
 from solvhull.iodoc import algebra_of, hull_data_of, omega_of
+from solvhull.linalg import Mat
 
 COUNTED = {
     "lie": ("nilradical", "is_nilpotent"),
     "hull": ("build_splittable_hull", "validate_hull_data", "enumerate_finite_group"),
-    "cochain": ("ce_complex",),
+    "cochain": ("ce_complex", "wedge"),
     "formality": ("invariant_subcomplex", "averaging_projector"),
     "report": ("analyze",),
     "linalg": ("char_poly",),
@@ -105,6 +107,33 @@ def test_invariant_model_takes_one_kernel_per_degree(monkeypatch, name, per_degr
                         _counting(counts, "kernel_basis", formality.kernel_basis))
     ic = formality.invariant_subcomplex(data)
     assert counts["kernel_basis"] == per_degree * (ic.dim + 1)
+
+
+def test_invariant_model_builds_no_identity(monkeypatch):
+    # g* - I is read off g*'s own rows
+    data = hull_data_of(fixture("twisted_kodaira_thurston"))
+    counts = Counter()
+    monkeypatch.setattr(Mat, "identity",
+                        staticmethod(_counting(counts, "identity", Mat.identity)))
+    formality.invariant_subcomplex(data)
+    assert counts["identity"] == 0
+
+
+def test_lefschetz_wedges_each_class_once_in_coordinates(calls, monkeypatch):
+    # omega^2 and omega^3 are one wedge_coords each; on this
+    # zero-differential model (dims 1,2,3,4,3,2,1) hard Lefschetz wedges
+    # the 10 representatives of degrees 0-3 with a power once, for both
+    # routes, and the pairing takes 1 + 4 + 9 + 16 products
+    doc = fixture("almost_abelian")
+    ic = formality.invariant_subcomplex(hull_action_data(build_splittable_hull(algebra_of(doc))))
+    monkeypatch.setattr(formality.InvariantComplex, "wedge_coords", _counting(
+        calls, "wedge_coords", formality.InvariantComplex.wedge_coords))
+    check = lefschetz.verify_symplectic(ic, omega_of(doc))
+    assert (calls["wedge_coords"], calls["wedge"]) == (2, 0)
+    calls.clear()
+    lefschetz.hard_lefschetz(ic, omega_of(doc), check)
+    assert calls["wedge_coords"] == 2 + 10 + 30
+    assert calls["wedge"] == 0
 
 
 def test_hull_data_analyze_builds_one_complex(calls):

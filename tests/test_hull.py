@@ -14,7 +14,6 @@ from solvhull.hull import (
     jordan_chevalley,
     recognize_split_form,
     semisimple_derivation,
-    semisimple_parts_add_on_nilradical,
     unipotent_hull_abelian,
     validate_hull_data,
 )
@@ -53,6 +52,7 @@ from conftest import (
     random_matrix,
     random_split_solvable,
     random_unimodular,
+    semisimple_parts_add_on_nilradical,
     sl2,
 )
 
